@@ -69,19 +69,15 @@ class ContainerDirectory {
   // Metadata for a container; falls back to the default layout when unknown.
   // A site remap (failed-site recovery) rewrites the preferred site.
   ContainerInfo Get(ContainerId id) const {
+    const ContainerInfo* known = Find(id);
     ContainerInfo info;
-    auto it = containers_.find(id);
-    if (it != containers_.end()) {
-      info = it->second;
+    if (known != nullptr) {
+      info = *known;
     } else {
       info.id = id;
-      info.preferred_site = static_cast<SiteId>(id % num_sites_);
     }
-    auto remap = remap_.find(info.preferred_site);
-    if (remap != remap_.end()) {
-      info.preferred_site = remap->second;
-    }
-    if (shard_map_ != nullptr && !shard_map_->trivial()) {
+    info.preferred_site = LogicalPreferredSite(id, known);
+    if (sharded()) {
       Translate(&info);
     }
     return info;
@@ -98,16 +94,53 @@ class ContainerDirectory {
     remap_.erase(from);
   }
 
-  // The preferred site of an object: site(oid) in Figures 11-12.
-  SiteId PreferredSite(const ObjectId& oid) const { return Get(oid.container).preferred_site; }
+  // The preferred site of an object: site(oid) in Figures 11-12. Equals
+  // Get(oid.container).preferred_site, answered without building the info
+  // (this and ReplicatedAt sit on the remote-apply and commit paths).
+  SiteId PreferredSite(const ObjectId& oid) const {
+    ContainerId id = oid.container;
+    SiteId preferred = LogicalPreferredSite(id, Find(id));
+    return sharded() ? shard_map_->OwnerAt(id, preferred) : preferred;
+  }
 
+  // Equals Get(oid.container).ReplicatedAt(s), without building the info.
+  // Sharded, server `s` replicates the container iff its site is in the
+  // logical replica set and it is the container's owning shard there.
   bool ReplicatedAt(const ObjectId& oid, SiteId s) const {
-    return Get(oid.container).ReplicatedAt(s);
+    ContainerId id = oid.container;
+    const ContainerInfo* known = Find(id);
+    if (!sharded()) {
+      return known == nullptr || known->ReplicatedAt(s);
+    }
+    if (s >= shard_map_->num_servers()) {
+      return false;
+    }
+    SiteId site = shard_map_->SiteOf(s);
+    if (known != nullptr && !known->ReplicatedAt(site)) {
+      return false;
+    }
+    return shard_map_->OwnerAt(id, site) == s;
   }
 
   size_t num_sites() const { return num_sites_; }
 
  private:
+  bool sharded() const { return shard_map_ != nullptr && !shard_map_->trivial(); }
+
+  const ContainerInfo* Find(ContainerId id) const {
+    auto it = containers_.find(id);
+    return it == containers_.end() ? nullptr : &it->second;
+  }
+
+  // Preferred site in logical site ids, with any site remap applied; an
+  // unknown container (`known` null) defaults to its id modulo the site count.
+  SiteId LogicalPreferredSite(ContainerId id, const ContainerInfo* known) const {
+    SiteId preferred =
+        known != nullptr ? known->preferred_site : static_cast<SiteId>(id % num_sites_);
+    auto remap = remap_.find(preferred);
+    return remap != remap_.end() ? remap->second : preferred;
+  }
+
   void Translate(ContainerInfo* info) const {
     info->preferred_site = shard_map_->OwnerAt(info->id, info->preferred_site);
     if (info->replicas.empty()) {

@@ -1964,18 +1964,33 @@ void WalterServer::HandlePropagate(const Message& msg) {
         pending_in_[origin].emplace(rec.version.seqno, std::move(rec));
       }
     }
+    VectorTimestamp got_before = got_vts_;
     DrainAllPending();
     WTRACE(sim_->Now(), TraceKind::kPropagateRecv, 0, options_.site, got_vts_.at(origin),
            origin);
-    PropagateAck ack;
-    ack.from = options_.site;
-    ack.origin = origin;
-    ack.received_through = got_vts_.at(origin);
-    if (options_.frontier_gossip) {
-      ack.stability_floor = StabilityFloor();
+    SendPropagateAck(origin);
+    // The drain may also have applied other origins' records that were parked
+    // behind a causal dependency this batch satisfied. Their senders wait on
+    // a one-batch window for exactly this ack; without it they would stall
+    // until the resend timeout.
+    for (SiteId j = 0; j < options_.num_sites; ++j) {
+      if (j != origin && j != options_.site && site_active_[j] &&
+          got_vts_.at(j) > got_before.at(j)) {
+        SendPropagateAck(j);
+      }
     }
-    endpoint_.Send(Address{origin, kWalterPort}, kPropagateAck, ack.Serialize());
   });
+}
+
+void WalterServer::SendPropagateAck(SiteId origin) {
+  PropagateAck ack;
+  ack.from = options_.site;
+  ack.origin = origin;
+  ack.received_through = got_vts_.at(origin);
+  if (options_.frontier_gossip) {
+    ack.stability_floor = StabilityFloor();
+  }
+  endpoint_.Send(Address{origin, kWalterPort}, kPropagateAck, ack.Serialize());
 }
 
 void WalterServer::ApplyRemoteReady(SiteId origin) {
@@ -2432,16 +2447,9 @@ void WalterServer::StartGossip() {
           continue;
         }
         endpoint_.Send(Address{s, kWalterPort}, kDsDurable, announce);
-        PropagateAck ack;
-        ack.from = options_.site;
-        ack.origin = s;
-        ack.received_through = got_vts_.at(s);
-        if (options_.frontier_gossip) {
-          // Refresh the floor even when idle, so frontiers keep advancing
-          // without new propagation traffic.
-          ack.stability_floor = StabilityFloor();
-        }
-        endpoint_.Send(Address{s, kWalterPort}, kPropagateAck, ack.Serialize());
+        // Also refreshes the gossiped floor when idle, so frontiers keep
+        // advancing without new propagation traffic.
+        SendPropagateAck(s);
         VisibleAck vis;
         vis.from = options_.site;
         vis.origin = s;

@@ -602,6 +602,8 @@ class WalterServer {
   void HandlePropagate(const Message& msg);
   void ApplyRemoteReady(SiteId origin);
   void DrainAllPending();
+  // Cumulative PROPAGATE-ACK of everything received from `origin` so far.
+  void SendPropagateAck(SiteId origin);
   void HandlePropagateAck(const Message& msg);
   void HandleDsDurable(const Message& msg);
   void HandleVisibleAck(const Message& msg);

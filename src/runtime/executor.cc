@@ -75,6 +75,10 @@ void Executor::PostSync(const std::function<void()>& fn) {
 
 void Executor::Loop(const std::function<bool()>& done) {
   ScopedCurrent cur(this);
+  // Reused across passes, so a pass in steady state allocates nothing. Local,
+  // not a member: a nested pump (a callback pumping this executor) drains
+  // into its own batch while this one is mid-iteration.
+  std::deque<Callback> batch;
   std::unique_lock<std::mutex> lk(mu_);
   for (;;) {
     if (done()) {
@@ -83,13 +87,13 @@ void Executor::Loop(const std::function<bool()>& done) {
     // Fire timers due at the current wall instant, then drain the mailbox.
     // RunUntil also advances sim().Now() to wall time when no timers are due,
     // so handlers always read a fresh virtual clock.
-    std::deque<Callback> batch;
     batch.swap(inbox_);
     lk.unlock();
     sim_->RunUntil(clock_->VirtualNow());
     for (Callback& fn : batch) {
       fn();
     }
+    batch.clear();
     sim_->RunUntil(clock_->VirtualNow());
     SimTime next = sim_->NextEventTime();
     lk.lock();
@@ -123,8 +127,11 @@ void Executor::Stop() {
 }
 
 void Executor::PumpFor(SimDuration virtual_d) {
+  // Done once the simulator itself has run to the deadline, not merely once
+  // the wall clock has passed it: a caller descheduled across the deadline
+  // must still fire the timers due before it.
   const SimTime deadline = clock_->VirtualNow() + virtual_d;
-  Loop([this, deadline]() { return clock_->VirtualNow() >= deadline; });
+  Loop([this, deadline]() { return sim_->Now() >= deadline; });
 }
 
 bool Executor::PumpUntil(const std::function<bool()>& pred,
@@ -136,7 +143,7 @@ bool Executor::PumpUntil(const std::function<bool()>& pred,
       ok = true;
       return true;
     }
-    return clock_->VirtualNow() >= deadline;
+    return sim_->Now() >= deadline;  // as in PumpFor
   });
   return ok;
 }

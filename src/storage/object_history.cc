@@ -129,14 +129,16 @@ bool ObjectHistory::UnmodifiedSince(const VectorTimestamp& vts) const {
 }
 
 size_t ObjectHistory::GarbageCollect(const VectorTimestamp& stable) {
-  size_t folded = 0;
-  std::vector<VersionedUpdate> keep;
-  for (auto& e : entries_) {
+  auto keep = entries_.begin();
+  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+    VersionedUpdate& e = *it;
     if (!stable.Sees(e.version)) {
-      keep.push_back(std::move(e));
+      if (keep != it) {
+        *keep = std::move(e);
+      }
+      ++keep;
       continue;
     }
-    ++folded;
     has_base_ = true;
     base_version_ = e.version;
     if (e.kind == UpdateKind::kData) {
@@ -151,7 +153,8 @@ size_t ObjectHistory::GarbageCollect(const VectorTimestamp& stable) {
       }
     }
   }
-  entries_ = std::move(keep);
+  size_t folded = static_cast<size_t>(entries_.end() - keep);
+  entries_.erase(keep, entries_.end());
   return folded;
 }
 

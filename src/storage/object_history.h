@@ -69,7 +69,8 @@ class ObjectHistory {
   // the unmodified(oid, VTS) conflict check of Figures 11-12.
   bool UnmodifiedSince(const VectorTimestamp& vts) const;
 
-  // Folds entries visible to `stable` into the base. Returns entries freed.
+  // Folds entries visible to `stable` into the base, compacting the rest in
+  // place (apply order kept). Returns entries freed.
   size_t GarbageCollect(const VectorTimestamp& stable);
 
   // Removes entries with version <site, seqno> where seqno > after_seqno —
@@ -98,6 +99,11 @@ class ObjectHistory {
   void Serialize(ByteWriter* w) const;
   static ObjectHistory Deserialize(ByteReader* r);
 
+  // Owner bookkeeping, not history state (never serialized): set while the
+  // history is on its Store's dirty list of histories GC still has to visit.
+  bool dirty() const { return dirty_; }
+  void set_dirty(bool dirty) { dirty_ = dirty; }
+
  private:
   // Compacted prefix.
   bool has_base_ = false;
@@ -107,6 +113,7 @@ class ObjectHistory {
   bool base_is_cset_ = false;
 
   std::vector<VersionedUpdate> entries_;  // live suffix, in apply order
+  bool dirty_ = false;
 };
 
 }  // namespace walter

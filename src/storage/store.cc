@@ -1,6 +1,7 @@
 #include "src/storage/store.h"
 
 #include <algorithm>
+#include <unordered_set>
 #include <vector>
 
 #include "src/common/bytes.h"
@@ -19,7 +20,16 @@ void Store::Apply(const TxRecord& record) {
 
 void Store::ApplyToHistories(const TxRecord& record) {
   for (const auto& u : record.updates) {
-    histories_[u.oid].Append(record.version, u);
+    ObjectHistory& history = histories_[u.oid];
+    history.Append(record.version, u);
+    MarkDirty(&history);
+  }
+}
+
+void Store::MarkDirty(ObjectHistory* history) {
+  if (!history->dirty()) {
+    history->set_dirty(true);
+    dirty_.push_back(history);
   }
 }
 
@@ -110,35 +120,59 @@ bool Store::TouchCache(const ObjectId& oid, ObjectType type, size_t approx_bytes
 
 size_t Store::GarbageCollect(const VectorTimestamp& stable) {
   size_t folded = 0;
-  for (auto& [oid, history] : histories_) {
-    folded += history.GarbageCollect(stable);
-  }
+  std::erase_if(dirty_, [&](ObjectHistory* history) {
+    folded += history->GarbageCollect(stable);
+    if (history->entry_count() > 0) {
+      return false;
+    }
+    history->set_dirty(false);
+    return true;
+  });
   gc_frontier_.MergeMax(stable);
   return folded;
 }
 
 size_t Store::TotalEntryCount() const {
   size_t n = 0;
-  for (const auto& [oid, history] : histories_) {
-    n += history.entry_count();
+  for (const ObjectHistory* history : dirty_) {
+    n += history->entry_count();
   }
   return n;
 }
 
 size_t Store::CountEntriesCoveredBy(const VectorTimestamp& vts) const {
   size_t n = 0;
-  for (const auto& [oid, history] : histories_) {
-    n += history.CountCoveredBy(vts);
+  for (const ObjectHistory* history : dirty_) {
+    n += history->CountCoveredBy(vts);
   }
   return n;
 }
 
 size_t Store::RemoveVersionsFrom(SiteId site, uint64_t after_seqno) {
   size_t removed = 0;
-  for (auto& [oid, history] : histories_) {
-    removed += history.RemoveVersionsFrom(site, after_seqno);
+  for (ObjectHistory* history : dirty_) {
+    removed += history->RemoveVersionsFrom(site, after_seqno);
   }
   return removed;
+}
+
+bool Store::DirtyListConsistent() const {
+  std::unordered_set<const ObjectHistory*> flagged;
+  for (const auto& [oid, history] : histories_) {
+    if (history.entry_count() > 0 && !history.dirty()) {
+      return false;
+    }
+    if (history.dirty()) {
+      flagged.insert(&history);
+    }
+  }
+  // Each list member must be a flagged node of this store, listed once.
+  for (const ObjectHistory* history : dirty_) {
+    if (flagged.erase(history) == 0) {
+      return false;
+    }
+  }
+  return flagged.empty();
 }
 
 void Store::AddVisibilityWatermark(const ObjectId& oid, Version version, TxId tid) {
@@ -281,6 +315,7 @@ std::string Store::SerializeCheckpoint() const {
 
 void Store::RestoreCheckpoint(std::string_view bytes) {
   histories_.clear();
+  dirty_.clear();
   // Watermarks are volatile like the lock table: a restored server starts
   // clean and the propagation backstop re-protects the decided versions.
   watermarks_.clear();
@@ -296,7 +331,11 @@ void Store::RestoreCheckpoint(std::string_view bytes) {
   uint64_t n = r.GetU64();
   for (uint64_t i = 0; i < n && !r.failed(); ++i) {
     ObjectId oid = r.GetObjectId();
-    histories_[oid] = ObjectHistory::Deserialize(&r);
+    ObjectHistory& history = histories_[oid];
+    history = ObjectHistory::Deserialize(&r);
+    if (history.entry_count() > 0) {
+      MarkDirty(&history);
+    }
   }
 }
 

@@ -29,13 +29,20 @@ class Store {
   // Puts the WAL on a persistence device (real segment files). The simulated
   // default keeps the in-memory image only.
   Store(size_t cache_capacity_bytes, std::unique_ptr<WalDevice> wal_device);
+  // The dirty list points into this store's own history nodes: a copy would
+  // alias them. A move carries the nodes over, so the pointers stay valid.
+  Store(const Store&) = delete;
+  Store& operator=(const Store&) = delete;
+  Store(Store&&) = default;
+  Store& operator=(Store&&) = default;
 
   // Applies a committed transaction: logs it to the WAL and appends each of
   // its updates to the touched objects' histories. Caller guarantees each
   // transaction is applied at most once (the server's GotVTS gating).
   void Apply(const TxRecord& record);
 
-  // Applies without logging — used when replaying the WAL itself.
+  // Applies without logging — used when replaying the WAL itself. Every
+  // touched history joins the dirty list.
   void ApplyToHistories(const TxRecord& record);
 
   // Snapshot reads --------------------------------------------------------
@@ -70,6 +77,8 @@ class Store {
   // and advances the recorded GC frontier. Callers (the GC coordinator)
   // guarantee `stable` is a stability frontier: every site has durably
   // committed everything it covers and no live snapshot starts below it.
+  // Visits only the dirty list, so a round costs what changed since the last
+  // one, not the key space; a history whose fold empties it leaves the list.
   size_t GarbageCollect(const VectorTimestamp& stable);
 
   // Highest frontier GC has folded at (entry-wise; persisted in checkpoints).
@@ -78,6 +87,7 @@ class Store {
 
   // Memory gauges ------------------------------------------------------------
   // Unfolded history entries across all objects (the memory GC bounds).
+  // Like the two scans below, walks only the dirty list.
   size_t TotalEntryCount() const;
   // Entries `vts` covers that GC has not folded yet: zero once histories have
   // drained to the frontier (the chaos suite's post-heal assert).
@@ -86,6 +96,13 @@ class Store {
   // Discards updates of site `site` with seqno > after_seqno from every
   // history (aggressive site-failure recovery, Section 5.7).
   size_t RemoveVersionsFrom(SiteId site, uint64_t after_seqno);
+
+  // Dirty list: every history holding at least one unfolded entry is on it
+  // exactly once, and a history is on it iff its dirty() flag is set. It may
+  // also hold histories emptied by RemoveVersionsFrom until the next fold.
+  size_t dirty_count() const { return dirty_.size(); }
+  // Full-scan check of that invariant (tests and diagnostics only).
+  bool DirtyListConsistent() const;
 
   // Visibility watermarks (early lock release) ------------------------------
   // When a 2PC participant releases its prepare locks at the commit decision
@@ -152,8 +169,13 @@ class Store {
   };
   // Removes one transaction's watermarks from both indexes.
   void EraseWatermarkTx(std::unordered_map<TxId, WatermarkTx>::iterator it);
+  // Puts `history` on the dirty list unless it is already there.
+  void MarkDirty(ObjectHistory* history);
 
   std::unordered_map<ObjectId, ObjectHistory> histories_;
+  // Pointers into histories_' nodes, which never move while the map lives
+  // (rehashing relinks nodes, it does not relocate them).
+  std::vector<ObjectHistory*> dirty_;
   Wal wal_;
   LruCache cache_;
   size_t checkpoint_frontier_ = 0;

@@ -7,18 +7,23 @@
 // modes: stale snapshots fail stop instead of reading folded state, snapshot
 // pins and dead sites stall the frontier (visibly, with a reason), §5.7
 // removal un-stalls it, and a replacement server skips resending records a
-// retention-aware checkpoint already truncated.
+// retention-aware checkpoint already truncated. At the storage level, the
+// Store's dirty-list fold must match the full-scan fold it replaced.
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/bytes.h"
 #include "src/core/cluster.h"
 #include "src/core/gc_coordinator.h"
 #include "src/psi/checker.h"
+#include "src/storage/store.h"
 
 namespace walter {
 namespace {
@@ -458,6 +463,281 @@ TEST(GcTest, SustainedChurnKeepsHistoriesBounded) {
   EXPECT_GT(cluster.server(0).stats().wal_truncated_bytes, 0u);
   cluster.RunFor(Seconds(40));  // > tx_outcome_retention
   EXPECT_EQ(cluster.server(0).retained_tx_outcomes(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Dirty-list fold: the Store folds only histories on its dirty list. Over a
+// randomized stream of applies, folds, discards and checkpoint restores it
+// must match the full-scan fold it replaced, kept here as the reference.
+// ---------------------------------------------------------------------------
+
+// One object's history under the reference fold: survivors are copied into a
+// fresh vector. Serializes in ObjectHistory's checkpoint format.
+struct RefHistory {
+  bool has_base = false;
+  Version base_version;
+  std::string base_data;
+  CountingSet base_cset;
+  bool base_is_cset = false;
+  std::vector<VersionedUpdate> entries;
+
+  size_t GarbageCollect(const VectorTimestamp& stable) {
+    size_t folded = 0;
+    std::vector<VersionedUpdate> keep;
+    for (auto& e : entries) {
+      if (!stable.Sees(e.version)) {
+        keep.push_back(std::move(e));
+        continue;
+      }
+      ++folded;
+      has_base = true;
+      base_version = e.version;
+      if (e.kind == UpdateKind::kData) {
+        base_is_cset = false;
+        base_data = std::move(e.data);
+      } else {
+        base_is_cset = true;
+        base_cset.Add(e.elem, e.kind == UpdateKind::kAdd ? 1 : -1);
+      }
+    }
+    entries = std::move(keep);
+    return folded;
+  }
+
+  std::optional<std::string> ReadRegular(const VectorTimestamp& vts) const {
+    for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
+      if (vts.Sees(it->version)) {
+        return it->data;
+      }
+    }
+    if (has_base && !base_is_cset) {
+      return base_data;
+    }
+    return std::nullopt;
+  }
+
+  CountingSet ReadCset(const VectorTimestamp& vts) const {
+    CountingSet s;
+    if (has_base && base_is_cset) {
+      s.MergeAdd(base_cset);
+    }
+    for (const auto& e : entries) {
+      if (vts.Sees(e.version)) {
+        s.Add(e.elem, e.kind == UpdateKind::kAdd ? 1 : -1);
+      }
+    }
+    return s;
+  }
+
+  void Serialize(ByteWriter* w) const {
+    w->PutU8(has_base ? 1 : 0);
+    if (has_base) {
+      w->PutVersion(base_version);
+      w->PutU8(base_is_cset ? 1 : 0);
+      if (base_is_cset) {
+        base_cset.Serialize(w);
+      } else {
+        w->PutString(base_data);
+      }
+    }
+    w->PutU32(static_cast<uint32_t>(entries.size()));
+    for (const auto& e : entries) {
+      w->PutVersion(e.version);
+      w->PutU8(static_cast<uint8_t>(e.kind));
+      if (e.kind == UpdateKind::kData) {
+        w->PutString(e.data);
+      } else {
+        w->PutObjectId(e.elem);
+      }
+    }
+  }
+};
+
+// The reference store: every round visits every history.
+struct RefStore {
+  std::map<ObjectId, RefHistory> histories;  // ordered like checkpoint images
+  VectorTimestamp gc_frontier;
+
+  void Apply(const TxRecord& record) {
+    for (const auto& u : record.updates) {
+      histories[u.oid].entries.push_back({record.version, u.kind, u.data, u.elem});
+    }
+  }
+  size_t GarbageCollect(const VectorTimestamp& stable) {
+    size_t folded = 0;
+    for (auto& [oid, h] : histories) {
+      folded += h.GarbageCollect(stable);
+    }
+    gc_frontier.MergeMax(stable);
+    return folded;
+  }
+  size_t RemoveVersionsFrom(SiteId site, uint64_t after_seqno) {
+    size_t removed = 0;
+    for (auto& [oid, h] : histories) {
+      removed += std::erase_if(h.entries, [&](const VersionedUpdate& e) {
+        return e.version.site == site && e.version.seqno > after_seqno;
+      });
+    }
+    return removed;
+  }
+  size_t TotalEntryCount() const {
+    size_t n = 0;
+    for (const auto& [oid, h] : histories) {
+      n += h.entries.size();
+    }
+    return n;
+  }
+  size_t CountEntriesCoveredBy(const VectorTimestamp& vts) const {
+    size_t n = 0;
+    for (const auto& [oid, h] : histories) {
+      for (const auto& e : h.entries) {
+        n += vts.Sees(e.version) ? 1 : 0;
+      }
+    }
+    return n;
+  }
+  size_t NonEmptyHistories() const {
+    size_t n = 0;
+    for (const auto& [oid, h] : histories) {
+      n += h.entries.empty() ? 0 : 1;
+    }
+    return n;
+  }
+  std::string Checkpoint(uint64_t wal_frontier) const {
+    ByteWriter w;
+    w.PutU64(wal_frontier);
+    w.PutVts(gc_frontier);
+    w.PutU64(histories.size());
+    for (const auto& [oid, h] : histories) {
+      w.PutObjectId(oid);
+      h.Serialize(&w);
+    }
+    return w.Take();
+  }
+};
+
+void RunDirtyListEquivalence(uint64_t seed) {
+  constexpr SiteId kOrigins = 3;
+  constexpr int kSteps = 3000;
+  Rng rng(seed);
+  Store store;
+  RefStore ref;
+  VectorTimestamp applied(kOrigins);   // highest seqno issued per origin
+  VectorTimestamp frontier(kOrigins);  // monotone fold frontier
+  TxId next_tid = 1;
+
+  // A checkpoint awaiting WAL-tail recovery; only applies run meanwhile, so
+  // checkpoint + tail must rebuild exactly the current state.
+  std::optional<std::string> pending_checkpoint;
+  size_t applies_since_checkpoint = 0;
+
+  // Containers 0-1 hold regular objects, 2-3 csets.
+  auto random_oid = [&]() { return ObjectId{rng.Uniform(4), rng.Uniform(12)}; };
+  auto is_cset = [](const ObjectId& oid) { return oid.container >= 2; };
+  auto wal_frontier = [&]() { return store.wal().base() + store.wal().size(); };
+  // A snapshot at or above the fold frontier (the only kind GC allows).
+  auto random_snapshot = [&]() {
+    VectorTimestamp vts = frontier;
+    for (SiteId s = 0; s < kOrigins; ++s) {
+      vts.set(s, rng.UniformRange(frontier.at(s), applied.at(s)));
+    }
+    return vts;
+  };
+
+  for (int step = 0; step < kSteps; ++step) {
+    SCOPED_TRACE("seed " + std::to_string(seed) + " step " + std::to_string(step));
+    uint64_t op = rng.Uniform(100);
+    if (op < 60 || pending_checkpoint) {
+      if (pending_checkpoint && op >= 90) {
+        Store recovered;
+        Store::RecoveryResult result =
+            recovered.Recover(*pending_checkpoint, store.wal().bytes(), store.wal().base());
+        ASSERT_FALSE(result.torn_tail);
+        ASSERT_EQ(result.records_replayed, applies_since_checkpoint);
+        store = std::move(recovered);
+        pending_checkpoint.reset();
+      } else {
+        SiteId origin = static_cast<SiteId>(rng.Uniform(kOrigins));
+        TxRecord rec;
+        rec.tid = next_tid++;
+        rec.origin = origin;
+        rec.version = Version{origin, applied.Advance(origin)};
+        rec.start_vts = frontier;
+        size_t n = 1 + rng.Uniform(3);
+        for (size_t i = 0; i < n; ++i) {
+          ObjectId oid = random_oid();
+          if (!is_cset(oid)) {
+            rec.updates.push_back(ObjectUpdate::Data(oid, "v" + std::to_string(rec.tid)));
+          } else if (rng.Bernoulli(0.7)) {
+            rec.updates.push_back(ObjectUpdate::Add(oid, ObjectId{9, rng.Uniform(5)}));
+          } else {
+            rec.updates.push_back(ObjectUpdate::Del(oid, ObjectId{9, rng.Uniform(5)}));
+          }
+        }
+        store.Apply(rec);
+        ref.Apply(rec);
+        ++applies_since_checkpoint;
+      }
+    } else if (op < 80) {
+      // Fold at a monotone frontier; sometimes all the way to what exists.
+      bool full = rng.Bernoulli(0.2);
+      for (SiteId s = 0; s < kOrigins; ++s) {
+        frontier.set(s, full ? applied.at(s) : rng.UniformRange(frontier.at(s), applied.at(s)));
+      }
+      ASSERT_EQ(store.GarbageCollect(frontier), ref.GarbageCollect(frontier));
+      // A history whose fold emptied it has left the list.
+      ASSERT_EQ(store.dirty_count(), ref.NonEmptyHistories());
+    } else if (op < 86) {
+      // Discard an origin's unfolded tail (§5.7); its seqnos get reused.
+      SiteId site = static_cast<SiteId>(rng.Uniform(kOrigins));
+      uint64_t after = rng.UniformRange(frontier.at(site), applied.at(site));
+      ASSERT_EQ(store.RemoveVersionsFrom(site, after), ref.RemoveVersionsFrom(site, after));
+      applied.set(site, after);
+    } else if (op < 94) {
+      // Checkpoint image must match the reference byte for byte; restoring it
+      // into a fresh store rebuilds the list.
+      std::string bytes = store.SerializeCheckpoint();
+      ASSERT_EQ(bytes, ref.Checkpoint(wal_frontier()));
+      Store restored;
+      restored.RestoreCheckpoint(bytes);
+      store = std::move(restored);
+    } else {
+      pending_checkpoint = store.SerializeCheckpoint();
+      applies_since_checkpoint = 0;
+    }
+
+    ASSERT_TRUE(store.DirtyListConsistent());
+    ASSERT_EQ(store.TotalEntryCount(), ref.TotalEntryCount());
+    VectorTimestamp snapshot = random_snapshot();
+    ASSERT_EQ(store.CountEntriesCoveredBy(snapshot), ref.CountEntriesCoveredBy(snapshot));
+    for (int i = 0; i < 3; ++i) {
+      ObjectId oid = random_oid();
+      auto it = ref.histories.find(oid);
+      if (is_cset(oid)) {
+        CountingSet expected = it == ref.histories.end() ? CountingSet{}
+                                                         : it->second.ReadCset(snapshot);
+        ASSERT_TRUE(store.ReadCset(oid, snapshot) == expected) << oid.ToString();
+      } else {
+        std::optional<std::string> expected =
+            it == ref.histories.end() ? std::nullopt : it->second.ReadRegular(snapshot);
+        ASSERT_EQ(store.ReadRegular(oid, snapshot), expected) << oid.ToString();
+      }
+    }
+  }
+  // Everything folds away at the end and the list drains.
+  ASSERT_EQ(store.GarbageCollect(applied), ref.GarbageCollect(applied));
+  EXPECT_EQ(store.TotalEntryCount(), 0u);
+  EXPECT_EQ(store.dirty_count(), 0u);
+  EXPECT_EQ(store.SerializeCheckpoint(), ref.Checkpoint(wal_frontier()));
+}
+
+TEST(GcDirtyListTest, MatchesFullScanFoldOverRandomOps) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    RunDirtyListEquivalence(seed);
+    if (HasFatalFailure()) {
+      return;
+    }
+  }
 }
 
 }  // namespace

@@ -90,6 +90,45 @@ TEST(PropagationTest, CausalDependencyBuffersUntilSatisfied) {
   EXPECT_EQ(ReadOnce(cluster, c2, Oid(0, 1)), "t1");
 }
 
+// A drain can also apply another origin's records that were parked behind a
+// causal dependency the arriving batch satisfied. That origin must be acked
+// too: its one-batch window to this site stays shut until it is, so without
+// the ack it would stall until the resend timeout.
+TEST(PropagationTest, DrainAcksEveryOriginItAdvanced) {
+  ClusterOptions options = LogicOptions(3);
+  options.server.f = 1;  // B's commit is disaster-safe once A has it
+  // A (0) is near both B (1) and C (2); B and C are far apart, so A's record
+  // that depends on B's reaches C long before B's own record does.
+  Topology topology(3);
+  topology.SetRtt(0, 1, Millis(10));
+  topology.SetRtt(0, 2, Millis(10));
+  topology.SetRtt(1, 2, Millis(400));
+  options.topology = topology;
+  Cluster cluster(options);
+  WalterClient* a = cluster.AddClient(0);
+  WalterClient* b = cluster.AddClient(1);
+
+  ASSERT_TRUE(CommitWrite(cluster, b, Oid(1, 1), "tb").ok());
+  cluster.RunFor(Millis(30));
+  ASSERT_EQ(cluster.server(0).committed_vts().at(1), 1u);
+  // A's transaction starts from a snapshot holding B's: a causal dependency.
+  ASSERT_TRUE(CommitWrite(cluster, a, Oid(0, 1), "ta1").ok());
+  cluster.RunFor(Millis(50));
+  ASSERT_EQ(cluster.server(2).got_vts().at(0), 0u);  // parked behind B's record
+
+  // B's record lands at C (~200 ms one way) and the drain applies both.
+  cluster.RunFor(Millis(250));
+  ASSERT_EQ(cluster.server(2).got_vts().at(1), 1u);
+  ASSERT_EQ(cluster.server(2).got_vts().at(0), 1u);
+
+  // A's window to C reopened on C's ack, so its next commit flows at once —
+  // far inside the 2 s resend timeout, and without any resend.
+  ASSERT_TRUE(CommitWrite(cluster, a, Oid(0, 2), "ta2").ok());
+  cluster.RunFor(Millis(50));
+  EXPECT_EQ(cluster.server(2).got_vts().at(0), 2u);
+  EXPECT_EQ(cluster.server(0).stats().batch_resends, 0u);
+}
+
 // Remote commits gate on the origin's disaster-safe announcement: a site that
 // received a transaction but no DS-DURABLE for it keeps it invisible.
 TEST(PropagationTest, RemoteCommitWaitsForDurabilityAnnouncement) {

@@ -130,6 +130,39 @@ TEST(ExecutorTest, PumpForAdvancesVirtualTimeOnCallerThread) {
   EXPECT_GE(sim.Now(), Millis(20));
 }
 
+// A closure that pumps its own executor (a nested loop) drains mail posted
+// meanwhile into its own batch; the outer pass then finishes its batch. Every
+// closure runs exactly once, in post order within each batch.
+TEST(ExecutorTest, NestedPumpDrainsMailboxIntoItsOwnBatch) {
+  WallClock clock(/*time_scale=*/50.0);
+  Simulator sim(1);
+  Executor exec(&sim, &clock);
+
+  std::vector<std::string> order;
+  bool inner_done = false;
+  exec.Post([&]() {
+    order.push_back("outer-1");
+    exec.Post([&]() { order.push_back("inner-1"); });
+    exec.Post([&]() {
+      order.push_back("inner-2");
+      inner_done = true;
+    });
+    EXPECT_TRUE(exec.PumpUntil([&]() { return inner_done; }, Seconds(1)));
+  });
+  exec.Post([&]() { order.push_back("outer-2"); });
+  exec.PumpUntil([&]() { return order.size() == 4; }, Seconds(1));
+  EXPECT_EQ(order, (std::vector<std::string>{"outer-1", "inner-1", "inner-2", "outer-2"}));
+
+  // Later passes reuse the drained batch without losing or repeating work.
+  int later = 0;
+  for (int i = 0; i < 50; ++i) {
+    exec.Post([&]() { ++later; });
+    exec.PumpUntil([&]() { return later == i + 1; }, Seconds(1));
+  }
+  EXPECT_EQ(later, 50);
+  EXPECT_EQ(order.size(), 4u);
+}
+
 // --- Payload cross-thread aliasing (TSan regression) -------------------------
 
 // The threaded dispatch path copies a Payload into a closure handed to the

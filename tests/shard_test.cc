@@ -171,6 +171,41 @@ TEST(ShardedDirectoryTest, TranslatesPreferredAndReplicasToOwningShards) {
   }
 }
 
+// PreferredSite/ReplicatedAt answer without building a ContainerInfo; they
+// must agree with Get() for every container and server, whatever the map,
+// explicit replica lists and site remaps say.
+TEST(ShardedDirectoryTest, DirectLookupsMatchGet) {
+  std::vector<std::optional<ShardMap>> maps = {
+      std::nullopt, ShardMap(3), ShardMap::Uniform(3, 2), ShardMap(std::vector<size_t>{1, 3, 2})};
+  for (size_t m = 0; m < maps.size(); ++m) {
+    for (bool remapped : {false, true}) {
+      ContainerDirectory dir(3);
+      if (maps[m]) {
+        dir.AttachShardMap(&*maps[m]);
+      }
+      dir.Upsert(ContainerInfo{4, 1, {1, 2}});
+      dir.Upsert(ContainerInfo{5, 0, {0}});
+      dir.Upsert(ContainerInfo{7, 2, {}});
+      dir.Upsert(ContainerInfo{9, 2, {2, 0}});
+      if (remapped) {
+        dir.RemapSite(0, 2);
+      }
+      size_t servers = maps[m] ? maps[m]->num_servers() : 3;
+      for (ContainerId c = 0; c < 24; ++c) {
+        ContainerInfo info = dir.Get(c);
+        ObjectId oid{c, 3};
+        SCOPED_TRACE("map " + std::to_string(m) + " remap " + std::to_string(remapped) +
+                     " container " + std::to_string(c));
+        EXPECT_EQ(dir.PreferredSite(oid), info.preferred_site);
+        // One past the last server id too: nobody replicates there.
+        for (SiteId s = 0; s <= servers; ++s) {
+          EXPECT_EQ(dir.ReplicatedAt(oid, s), info.ReplicatedAt(s)) << "server " << s;
+        }
+      }
+    }
+  }
+}
+
 // --- End-to-end behavior -----------------------------------------------------
 
 TEST(ShardedClusterTest, RoutedWritesAreReadableEverywhere) {
