@@ -15,12 +15,11 @@
 //      land in one shard (fast commit, unchanged) or two shards of the same
 //      site (intra-site 2PC over the LAN). Sweeping the cross-shard fraction
 //      prices the tax in throughput, latency and abort rate; the slow-commit
-//      counter confirms which path ran. With early lock release (the default)
-//      a participant frees its prepare locks at the commit decision and
+//      counter confirms which path ran. With early lock release a
+//      participant frees its prepare locks at the commit decision and
 //      installs visibility watermarks instead of holding the locks until the
 //      record propagates back, so lock holds stay at 2PC-round scale and the
-//      tax is nearly flat across the sweep. WALTER_EARLY_LOCK_RELEASE=0
-//      restores the release-at-propagation protocol and its abort cliff.
+//      tax is nearly flat across the sweep.
 //
 //      Each tax cell also records per-lock hold durations (kLockAcquire ->
 //      kLockRelease trace matching) and the abort-reason breakdown (kTxAbort
@@ -561,8 +560,7 @@ int main(int argc, char** argv) {
       "the prepare to the commit decision (Figure 13's remote-commit guard now\n"
       "gates visibility through per-object watermarks, not through the locks),\n"
       "so cross-shard throughput stays near the f=0 baseline and aborts stay\n"
-      "low. Set WALTER_EARLY_LOCK_RELEASE=0 to reproduce the old abort cliff,\n"
-      "where lock holds stretch to the intra-site visibility delay.\n",
+      "low.\n",
       speedup_n4);
 
   walter::BenchJson json;

@@ -31,9 +31,9 @@
 //      PSI checker, which must report zero violations — shedding may abort
 //      transactions, never corrupt the ones that commit.
 //
-// Defenses are per-cell options here; the WALTER_ADMISSION=0 kill switch
-// (cluster-level) force-disables them regardless, which is what the CI
-// byte-identity check uses against the figure benches.
+// Defenses are per-cell options here (ClusterOptions::server's admission
+// knobs and ClusterOptions::client's overload retry budget); both default to
+// off, so the figure benches never run them.
 #include <cstdio>
 #include <cstdlib>
 #include <memory>

@@ -15,6 +15,11 @@ Fails (exit 1) when the docs disagree with the build:
      section backticks must be either a real trace kind or an identifier
      that appears somewhere in the source tree (config knobs etc.) — a
      renamed or deleted kind leaves a stale name that matches nothing.
+  6. Env-knob drift: every `WALTER_*` token in the docs must be read by a
+     getenv (C++) or os.environ/os.getenv (Python) under src/, bench/,
+     tests/ or perfbench/, or be declared as a CMake option/cache variable —
+     a deleted environment override leaves a stale name that matches
+     nothing.
 
 Usage: check_docs.py [repo_root]   (default: the script's parent directory)
 """
@@ -142,6 +147,35 @@ def check_trace_kinds(root: Path, errors):
                 )
 
 
+KNOB_DIRS = ("src", "bench", "tests", "perfbench")
+ENV_READ = re.compile(
+    r'(?:getenv|environ\.get|environ)\s*[(\[]\s*["\'](WALTER_[A-Z0-9_]+)["\']')
+CMAKE_KNOB = re.compile(
+    r'(?:option\(\s*(WALTER_[A-Z0-9_]+)|set\(\s*(WALTER_[A-Z0-9_]+)\s[^)]*\bCACHE\b)')
+
+
+def check_env_knobs(root: Path, files, errors):
+    known = set()
+    for sub in KNOB_DIRS:
+        for p in (root / sub).rglob("*"):
+            if p.suffix in (".h", ".cc", ".py"):
+                known.update(ENV_READ.findall(p.read_text(encoding="utf-8", errors="ignore")))
+    cmakes = [root / "CMakeLists.txt"]
+    for sub in KNOB_DIRS:
+        cmakes += (root / sub).rglob("CMakeLists.txt")
+    for cmake in cmakes:
+        if cmake.exists():
+            for opt, cache in CMAKE_KNOB.findall(cmake.read_text(encoding="utf-8")):
+                known.add(opt or cache)
+    for md in files:
+        for name in sorted(set(re.findall(r"\bWALTER_[A-Z0-9_]+", md.read_text(encoding="utf-8")))):
+            if name not in known:
+                errors.append(
+                    f"{md}: names '{name}', which no getenv under "
+                    f"{', '.join(KNOB_DIRS)} reads and no CMake option declares"
+                )
+
+
 def main() -> int:
     root = Path(sys.argv[1]).resolve() if len(sys.argv) > 1 else Path(__file__).resolve().parent.parent
     files = markdown_files(root)
@@ -153,6 +187,7 @@ def main() -> int:
     check_bench_binaries(root, files, errors)
     check_ctest_labels(root, files, errors)
     check_trace_kinds(root, errors)
+    check_env_knobs(root, files, errors)
     if errors:
         print(f"check_docs: {len(errors)} problem(s):", file=sys.stderr)
         for e in errors:

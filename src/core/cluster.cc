@@ -1,7 +1,6 @@
 #include "src/core/cluster.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <utility>
 
 namespace walter {
@@ -52,31 +51,8 @@ Cluster::Cluster(ClusterOptions options)
   // propagation, durability-quorum and recovery machinery are unchanged —
   // cross-shard transactions inside one site simply become slow commits whose
   // participants happen to be a LAN hop apart.
-  bool early_release = options_.early_lock_release;
-  if (const char* env = std::getenv("WALTER_EARLY_LOCK_RELEASE")) {
-    early_release = !(env[0] == '0' && env[1] == '\0');
-  }
-  // Overload-defense kill switch: WALTER_ADMISSION=0 forces admission control
-  // (and the clients' overload retry budgets) off regardless of options — the
-  // byte-identity escape hatch, mirroring WALTER_EARLY_LOCK_RELEASE.
-  bool admission_on = true;
-  if (const char* env = std::getenv("WALTER_ADMISSION")) {
-    admission_on = !(env[0] == '0' && env[1] == '\0');
-  }
-  if (!admission_on) {
-    options_.server.admission_max_queue = 0;
-    options_.server.admission_max_inflight = 0;
-    options_.client.overload_retry_tokens = 0;
-  }
-  // Clock-ordered commit kill switch: WALTER_CLOCK_COMMIT=1 forces it on,
-  // =0 forces it off, unset leaves the option as configured (default off —
-  // the byte-identity baseline).
-  bool clock_on = options_.clock_commit;
-  if (const char* env = std::getenv("WALTER_CLOCK_COMMIT")) {
-    clock_on = !(env[0] == '0' && env[1] == '\0');
-  }
-  options_.server.clock_commit = clock_on;
-  if (clock_on) {
+  options_.server.clock_commit = options_.clock_commit;
+  if (options_.clock_commit) {
     // The hold budget must cover the worst prepare one-way delay in this
     // deployment, or far participants constantly fall back to classic votes.
     SimDuration max_owd = 0;
@@ -93,7 +69,6 @@ Cluster::Cluster(ClusterOptions options)
     so.site = v;
     so.num_sites = shard_map_.num_servers();
     so.sharded = !shard_map_.trivial();
-    so.early_lock_release = early_release;
     // Which geographic site each virtual server lives in: the co-sited test
     // behind sequential lock ordering and fast remote-commit visibility.
     so.geo_site_of.resize(shard_map_.num_servers());
@@ -119,12 +94,10 @@ Cluster::Cluster(ClusterOptions options)
   }
   // The GC coordinator follows the gossip gating (RunUntilIdle-based tests
   // disable periodic work by setting gossip_interval = 0), and stands down in
-  // frontier_gossip mode, where the servers fold from acked floors themselves,
-  // and in threaded mode, where its frontier probes would read server state
-  // across executors.
+  // threaded mode, where its frontier probes would read server state across
+  // executors.
   if (runtime_ == nullptr && shard_map_.num_servers() > 1 &&
-      options_.server.gossip_interval > 0 &&
-      options_.gc.enabled && !options_.server.frontier_gossip) {
+      options_.server.gossip_interval > 0 && options_.gc.enabled) {
     gc_ = std::make_unique<GcCoordinator>(this, options_.gc, options_.seed);
     gc_->Start();
   }

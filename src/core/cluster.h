@@ -31,19 +31,11 @@ struct ClusterOptions {
   // map, and clients routing per-container. Must be empty or num_sites long.
   std::vector<size_t> servers_per_site;
   uint64_t seed = 1;
-  // Early lock release (visibility watermarks + ordered/wound-wait lock
-  // acquisition): 2PC participants free their prepare locks at the commit
-  // decision instead of holding them until the committed record propagates
-  // back. Default on; the env var WALTER_EARLY_LOCK_RELEASE=0 forces it off
-  // (e.g. to reproduce pre-watermark figure output byte-for-byte).
-  bool early_lock_release = true;
   // Clock-ordered slow commit (docs/CONSISTENCY.md, docs/PROTOCOL.md): the
   // coordinator stamps cross-site prepares with a future commit timestamp and
   // participants hold their vote until their local ClockModel passes it,
   // ordering conflicting WAN commits by (commit_ts, coordinator, tid) instead
-  // of abort/retry. Default off — flag-off runs are byte-identical to a
-  // clock-unaware build. The env var WALTER_CLOCK_COMMIT=1 forces it on and
-  // =0 forces it off (mirroring WALTER_EARLY_LOCK_RELEASE's escape hatch).
+  // of abort/retry. Default off.
   // Per-site clock behavior (skew bound, drift, seed) comes from
   // server.clock; server.clock_max_owd is derived from the topology's worst
   // one-way delay unless set explicitly.
@@ -56,8 +48,7 @@ struct ClusterOptions {
   std::optional<Topology> topology;
   // Stability-frontier GC/checkpointing. Active (like gossip) only for
   // multi-site clusters with a nonzero gossip_interval — tests that rely on
-  // RunUntilIdle quiescence disable both together — and not in the servers'
-  // frontier_gossip mode, where each site folds from acked floors instead.
+  // RunUntilIdle quiescence disable both together.
   GcOptions gc;
   // Threaded runtime (the wall-clock side of the runtime seam). workers = 0
   // (default) keeps everything on the shared deterministic simulator —
@@ -118,7 +109,7 @@ class Cluster {
   void ObserveCommits(WalterServer::CommitObserver observer);
 
   // The stability-frontier GC/checkpoint driver; nullptr when disabled (single
-  // site, gossip off, gc.enabled false, or frontier_gossip mode).
+  // site, gossip off, gc.enabled false, or threaded mode).
   GcCoordinator* gc() { return gc_.get(); }
   // Per-site snapshot-pin registry (owned here: it must survive ReplaceServer).
   SnapshotPinRegistry& pin_registry(SiteId s) { return *pin_registries_[s]; }

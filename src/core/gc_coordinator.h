@@ -18,8 +18,7 @@
 // seeded run's message timings, which keeps every benchmark byte-identical
 // with GC on or off) and drives every live server's GC in the same simulator
 // event. Synchronized folding means all sites share one frontier, so remote
-// reads never straddle two frontiers. The message-borne alternative is the
-// servers' `frontier_gossip` mode.
+// reads never straddle two frontiers.
 //
 // Stalling is safe and visible: a crashed-but-in-config site freezes the
 // frontier at its last known floor (reason kDeadSite); a long-running snapshot

@@ -138,10 +138,9 @@ std::string PrepareRequest::Serialize() const {
     w.PutObjectId(o);
   }
   w.PutVts(start_vts);
-  // Trailing optional (like PropagateAck's floor): omitted when zero, so the
-  // pre-watermark protocol serializes the exact same byte stream. The
-  // clock/mode group rides after priority, so any non-default member forces
-  // priority onto the wire too (0 decodes back to 0 — still correct).
+  // Trailing optional: priority is omitted when zero. The clock/mode group
+  // rides after priority, so any non-default member forces priority onto the
+  // wire too (0 decodes back to 0 — still correct).
   bool clock_tail =
       commit_ts != 0 || mode != ConsistencyMode::kPsi || !read_oids.empty();
   if (priority != 0 || clock_tail) {
@@ -268,9 +267,6 @@ std::string PropagateAck::Serialize() const {
   w.PutU32(from);
   w.PutU32(origin);
   w.PutU64(received_through);
-  if (stability_floor.num_sites() > 0) {
-    w.PutVts(stability_floor);
-  }
   return w.Take();
 }
 
@@ -280,9 +276,6 @@ PropagateAck PropagateAck::Deserialize(std::string_view bytes) {
   a.from = r.GetU32();
   a.origin = r.GetU32();
   a.received_through = r.GetU64();
-  if (r.remaining() > 0) {
-    a.stability_floor = r.GetVts();
-  }
   return a;
 }
 

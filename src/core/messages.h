@@ -149,9 +149,8 @@ struct PrepareRequest {
   TxId tid = 0;
   std::vector<ObjectId> oids;  // written objects whose preferred site is the callee
   VectorTimestamp start_vts;
-  // Wound-wait age (coordinator's sim time at slow-commit entry; smaller =
-  // older = wins). Trailing optional field: 0 (early_lock_release off) keeps
-  // the wire bytes identical to the pre-watermark format.
+  // Wound-wait age (coordinator's sim time at slow-commit entry + 1; smaller
+  // = older = wins). Trailing optional field, omitted on the wire when 0.
   uint64_t priority = 0;
   // Clock-ordered commit (docs/CONSISTENCY.md): the coordinator-assigned
   // future commit timestamp. The participant holds its vote until its local
@@ -174,7 +173,7 @@ struct PrepareRequest {
 struct PrepareResponse {
   bool vote_yes = false;
   // Why a no vote (AbortReason); trailing optional like PrepareRequest's
-  // priority — kNone (yes votes, and the pre-watermark protocol) is omitted.
+  // priority — kNone (yes votes) is omitted.
   AbortReason reason = AbortReason::kNone;
   // Clock-ordered commit: the participant's local clock had already passed
   // the assigned commit_ts when the prepare arrived (skew bound violated or
@@ -192,8 +191,8 @@ struct PrepareResponse {
 // the participant releases the transaction's prepare locks; if the version is
 // not yet committed there, each previously locked object gets a visibility
 // watermark so readers keep waiting exactly as long as the lock would have
-// made them. Loss is tolerated: the locks then release on propagation as
-// before (the old Figure-13 lifetime is the backstop).
+// made them. Loss is tolerated: the locks then release when the record
+// propagates and commits there (Figure 13's lock lifetime is the backstop).
 struct CommitDecision {
   TxId tid = 0;
   Version version;  // the decided commit's version (origin site + seqno)
@@ -222,11 +221,6 @@ struct PropagateAck {
   SiteId from = kNoSite;       // the acking site
   SiteId origin = kNoSite;     // whose transactions are acked
   uint64_t received_through = 0;  // cumulative: GotVTS[origin] at the acker
-  // Optional tail (frontier-gossip mode only): the acker's stability floor —
-  // the entry-wise min of its committed/durably-applied state and its local
-  // snapshot pins. Empty (num_sites()==0) when the mode is off, in which case
-  // the wire bytes are identical to the pre-gossip format.
-  VectorTimestamp stability_floor;
 
   std::string Serialize() const;
   static PropagateAck Deserialize(std::string_view bytes);

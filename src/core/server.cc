@@ -58,7 +58,6 @@ WalterServer::WalterServer(Simulator* sim, Network* net, Options options,
       durable_known_(options.num_sites, 0),
       site_active_(options.num_sites, true),
       dests_(options.num_sites),
-      peer_floors_(options.num_sites),
       alive_(std::make_shared<bool>(true)) {
   endpoint_.Handle(kClientOp,
                    [this](const Message& m, RpcEndpoint::ReplyFn r) { HandleClientOp(m, std::move(r)); });
@@ -433,7 +432,7 @@ void WalterServer::DoRead(const ClientOpRequest& req, const VectorTimestamp& vts
     return;
   }
 
-  if (options_.early_lock_release && store_.has_watermarks()) {
+  if (store_.has_watermarks()) {
     // Early lock release: a watermark marks a decided version our snapshot
     // includes but our history does not hold yet (the lock that used to delay
     // such snapshots is already released). Park until it commits here; the
@@ -860,8 +859,8 @@ void WalterServer::DoCommit(TxId tid, ActiveTx tx, bool want_durable, bool want_
   } else {
     WTRACE(sim_->Now(), TraceKind::kSlowPath, tid, options_.site, 0,
            static_cast<uint32_t>(sites.size()));
-    SlowCommit(tid, std::move(tx), std::move(sites), want_durable, want_visible, reply_port,
-               reply_site, std::move(respond));
+    SlowCommit(tid, std::move(tx), want_durable, want_visible, reply_port, reply_site,
+               std::move(respond));
   }
 }
 
@@ -869,10 +868,10 @@ void WalterServer::FastCommit(TxId tid, ActiveTx tx, bool want_durable, bool wan
                               uint32_t reply_port, SiteId reply_site,
                               std::function<void(ClientOpResponse)> respond, SimTime deadline) {
   // Conflict checks of Figure 11: every written object unmodified since the
-  // snapshot and unlocked. This whole function is one event — atomic. With
-  // early lock release on, a held lock is a wait (the holder may abort), while
-  // a modified object or a watermark is a permanent conflict — the conflicting
-  // version is committed/decided, so this snapshot can never pass.
+  // snapshot and unlocked. This whole function is one event — atomic. A held
+  // lock is a wait (the holder may abort), while a modified object or a
+  // watermark is a permanent conflict — the conflicting version is
+  // committed/decided, so this snapshot can never pass.
   std::vector<ObjectId> ws = WriteSetOf(tx.updates);
   if (!tx.read_oids.empty()) {
     // Serializable: the read set is validated (and parked on) exactly like
@@ -893,7 +892,7 @@ void WalterServer::FastCommit(TxId tid, ActiveTx tx, bool want_durable, bool wan
       respond(std::move(resp));
       return;
     }
-    bool wm_blocks = options_.early_lock_release && store_.WatermarkBlocksWrite(oid);
+    bool wm_blocks = store_.WatermarkBlocksWrite(oid);
     if (wm_blocks && options_.clock_commit &&
         !store_.WatermarkBlocksWrite(oid, tx.start_vts)) {
       // Clock-commit relaxation: every watermark version on oid is already in
@@ -904,27 +903,27 @@ void WalterServer::FastCommit(TxId tid, ActiveTx tx, bool want_durable, bool wan
       wm_blocks = false;
     }
     bool conflict = !store_.Unmodified(oid, tx.start_vts) || wm_blocks;
-    auto lock = locks_.find(oid);
-    if (lock != locks_.end() && !conflict && options_.early_lock_release) {
-      blocker = lock->second;
+    if (!conflict) {
+      auto lock = locks_.find(oid);
+      if (lock != locks_.end()) {
+        blocker = lock->second;
+      }
       continue;
     }
-    if (lock != locks_.end() || conflict) {
-      ++stats_.aborts;
-      ++stats_.aborts_conflict;
-      if (std::binary_search(tx.read_oids.begin(), tx.read_oids.end(), oid)) {
-        ++stats_.aborts_ser_validation;
-      }
-      aborted_tids_.insert(tid);
-      RecordOutcome(tid);
-      WTRACE(sim_->Now(), TraceKind::kTxAbort, tid, options_.site,
-             static_cast<uint64_t>(StatusCode::kAborted),
-             static_cast<uint32_t>(AbortReason::kConflict));
-      ClientOpResponse resp;
-      resp.status = StatusCode::kAborted;
-      respond(std::move(resp));
-      return;
+    ++stats_.aborts;
+    ++stats_.aborts_conflict;
+    if (std::binary_search(tx.read_oids.begin(), tx.read_oids.end(), oid)) {
+      ++stats_.aborts_ser_validation;
     }
+    aborted_tids_.insert(tid);
+    RecordOutcome(tid);
+    WTRACE(sim_->Now(), TraceKind::kTxAbort, tid, options_.site,
+           static_cast<uint64_t>(StatusCode::kAborted),
+           static_cast<uint32_t>(AbortReason::kConflict));
+    ClientOpResponse resp;
+    resp.status = StatusCode::kAborted;
+    respond(std::move(resp));
+    return;
   }
   if (blocker != 0) {
     // Blocked only by live locks: park until the holders resolve. A fast
@@ -1064,14 +1063,13 @@ void WalterServer::AdvanceLocalCommits() {
   }
 }
 
-void WalterServer::SlowCommit(TxId tid, ActiveTx tx, std::vector<SiteId> sites,
-                              bool want_durable, bool want_visible, uint32_t reply_port,
-                              SiteId reply_site, std::function<void(ClientOpResponse)> respond) {
+void WalterServer::SlowCommit(TxId tid, ActiveTx tx, bool want_durable, bool want_visible,
+                              uint32_t reply_port, SiteId reply_site,
+                              std::function<void(ClientOpResponse)> respond) {
   ++stats_.slow_commits;
   auto state = std::make_shared<SlowCommitState>();
   state->tid = tid;
   state->tx = std::move(tx);
-  state->sites = std::move(sites);
   state->reply = std::move(respond);
   state->want_durable = want_durable;
   state->want_visible = want_visible;
@@ -1079,9 +1077,13 @@ void WalterServer::SlowCommit(TxId tid, ActiveTx tx, std::vector<SiteId> sites,
   state->reply_site = reply_site;
   slow_commits_[tid] = state;
 
+  // Wound-wait age: commit entry time + 1 (fast-commit waiters use the same
+  // offset, so ages from both paths compare on one scale).
+  state->priority = static_cast<uint64_t>(sim_->Now()) + 1;
+
   // Partition the write-set by preferred site. WriteSetOf is globally sorted,
   // so each site's bucket is sorted and its front() is the site's minimum oid.
-  std::map<SiteId, std::vector<ObjectId>> by_site;
+  std::map<SiteId, std::vector<ObjectId>>& by_site = state->by_site;
   for (const auto& oid : WriteSetOf(state->tx.updates)) {
     by_site[directory_->PreferredSite(oid)].push_back(oid);
   }
@@ -1101,101 +1103,61 @@ void WalterServer::SlowCommit(TxId tid, ActiveTx tx, std::vector<SiteId> sites,
     }
   }
 
-  if (options_.early_lock_release) {
-    // Wound-wait age: commit entry time (+1 so a priority of 0 stays the
-    // "pre-watermark holder" sentinel even at simulated time zero).
-    state->priority = static_cast<uint64_t>(sim_->Now()) + 1;
-    state->by_site = std::move(by_site);
-    // All participants co-sited with us (intra-site sharding)? Then prepare
-    // RPCs are cheap and deadlock is the real tax: acquire the sites one at a
-    // time in global minimum-oid order, so concurrent cross-shard commits
-    // never hold-and-wait in opposite orders. Across WAN sites the old
-    // parallel fan-out stays — serializing 100ms RTTs would be far worse than
-    // the conflicts it avoids.
-    bool co_sited = !options_.geo_site_of.empty();
-    if (co_sited) {
-      for (const auto& [s, oids] : state->by_site) {
-        if (options_.geo_site_of[s] != options_.geo_site_of[options_.site]) {
-          co_sited = false;
-          break;
-        }
+  // All participants co-sited with us (intra-site sharding)? Then prepare
+  // RPCs are cheap and deadlock is the real tax: acquire the sites one at a
+  // time in global minimum-oid order, so concurrent cross-shard commits never
+  // hold-and-wait in opposite orders. Across WAN sites the parallel fan-out
+  // stays — serializing 100ms RTTs would be far worse than the conflicts it
+  // avoids.
+  bool co_sited = !options_.geo_site_of.empty();
+  if (co_sited) {
+    for (const auto& [s, oids] : by_site) {
+      if (options_.geo_site_of[s] != options_.geo_site_of[options_.site]) {
+        co_sited = false;
+        break;
       }
     }
-    state->sequential = co_sited;
-    if (state->sequential) {
-      for (const auto& [s, oids] : state->by_site) {
-        state->site_order.push_back(s);
-      }
-      std::sort(state->site_order.begin(), state->site_order.end(),
-                [&](SiteId a, SiteId b) {
-                  return state->by_site[a].front() < state->by_site[b].front();
-                });
-      AdvancePrepares(state);
-      return;
+  }
+  state->sequential = co_sited;
+  if (state->sequential) {
+    for (const auto& [s, oids] : by_site) {
+      state->site_order.push_back(s);
     }
-    state->votes_pending = state->by_site.size();
-    if (state->votes_pending == 0) {
-      FinishSlowCommit(state);
-      return;
-    }
-    if (options_.clock_commit) {
-      // Clock-ordered commit: pick a commit timestamp far enough in the
-      // future that it is still ahead of every participant's local clock when
-      // the prepare arrives (one-way delay bound + twice the skew bound to
-      // translate coordinator clock → true time → participant clock, plus
-      // slack so holds are non-degenerate). Participants hold their vote
-      // until their clock passes it and release holds in (commit_ts,
-      // coordinator, tid) order, which serializes conflicting WAN commits
-      // without abort/retry cycles.
-      state->commit_ts = clock_.LocalNow(sim_->Now()) + options_.clock_max_owd +
-                         2 * clock_.skew_bound() + options_.clock_slack;
-      ++stats_.clock_commits;
-    }
-    for (const auto& [s, oids] : state->by_site) {
-      if (state->finished) {
-        break;  // a synchronous single-participant local vote already decided
-      }
-      if (s == options_.site) {
-        // The coordinator's own vote is never held: holding it would only
-        // delay the fan-out it is part of, and the clock ordering it would
-        // buy is already enforced at the remote participants.
-        StartLocalVote(state, oids);
-        continue;
-      }
-      PrepareRequest prep;
-      prep.tid = tid;
-      prep.oids = oids;
-      prep.start_vts = state->tx.start_vts;
-      prep.priority = state->priority;
-      prep.commit_ts = state->commit_ts;
-      prep.mode = state->tx.mode;
-      prep.read_oids = state->tx.read_oids;
-      SendPrepare(s, std::move(prep), state, 1);
-    }
+    std::sort(state->site_order.begin(), state->site_order.end(),
+              [&](SiteId a, SiteId b) { return by_site[a].front() < by_site[b].front(); });
+    AdvancePrepares(state);
     return;
   }
-
-  // Local vote first (synchronous).
-  auto local_it = by_site.find(options_.site);
-  if (local_it != by_site.end()) {
-    if (!PrepareLocal(tid, local_it->second, state->tx.start_vts, options_.site,
-                      state->tx.read_oids)) {
-      state->any_no = true;
-    }
-    by_site.erase(local_it);
-  }
-
+  // DoCommit routes here only when some write or serializable read is
+  // preferred at another site, so at least one remote vote is pending.
   state->votes_pending = by_site.size();
-  if (state->votes_pending == 0) {
-    FinishSlowCommit(state);
-    return;
+  if (options_.clock_commit) {
+    // Clock-ordered commit: pick a commit timestamp far enough in the future
+    // that it is still ahead of every participant's local clock when the
+    // prepare arrives (one-way delay bound + twice the skew bound to
+    // translate coordinator clock → true time → participant clock, plus slack
+    // so holds are non-degenerate). Participants hold their vote until their
+    // clock passes it and release holds in (commit_ts, coordinator, tid)
+    // order, which serializes conflicting WAN commits without abort/retry
+    // cycles.
+    state->commit_ts = clock_.LocalNow(sim_->Now()) + options_.clock_max_owd +
+                       2 * clock_.skew_bound() + options_.clock_slack;
+    ++stats_.clock_commits;
   }
-
-  for (auto& [s, oids] : by_site) {
+  for (const auto& [s, oids] : by_site) {
+    if (s == options_.site) {
+      // The coordinator's own vote is never held: holding it would only delay
+      // the fan-out it is part of, and the clock ordering it would buy is
+      // already enforced at the remote participants.
+      StartLocalVote(state, oids);
+      continue;
+    }
     PrepareRequest prep;
     prep.tid = tid;
-    prep.oids = std::move(oids);
+    prep.oids = oids;
     prep.start_vts = state->tx.start_vts;
+    prep.priority = state->priority;
+    prep.commit_ts = state->commit_ts;
     prep.mode = state->tx.mode;
     prep.read_oids = state->tx.read_oids;
     SendPrepare(s, std::move(prep), state, 1);
@@ -1305,9 +1267,6 @@ void WalterServer::StartLocalVote(const std::shared_ptr<SlowCommitState>& state,
     WTRACE(sim_->Now(), TraceKind::kLockWait, state->tid, options_.site, blocker);
     ParkLockWaiter(state->tid, state->priority, oids, deadline,
                    [this, state, oids, deadline](bool timed_out) {
-                     if (state->finished) {
-                       return;
-                     }
                      if (timed_out) {
                        ++stats_.lock_wait_timeouts;
                        OnPrepareVote(state, options_.site, false, AbortReason::kTimeout);
@@ -1319,7 +1278,7 @@ void WalterServer::StartLocalVote(const std::shared_ptr<SlowCommitState>& state,
   }
   if (c == PrepareCheck::kYes) {
     if (!lock_owners_.contains(state->tid)) {
-      LockAll(state->tid, oids, options_.site, state->priority, state->tx.read_oids);
+      LockAll(state->tid, oids, options_.site, state->tx.read_oids);
     }
     OnPrepareVote(state, options_.site, true, AbortReason::kNone);
     return;
@@ -1359,17 +1318,16 @@ void WalterServer::FinishSlowCommit(std::shared_ptr<SlowCommitState> state) {
     state->reply(std::move(resp));
     return;
   }
-  // All preferred sites hold locks for us: commit exactly as in fast commit.
-  // Local locks (if any) are released when the commit is applied; remote locks
-  // when the transaction propagates there (Figure 13).
+  // All preferred sites hold locks for us: commit exactly as in fast commit,
+  // then release every prepare lock at the decision.
   CommitLocally(state->tid, state->tx, state->want_durable, state->want_visible,
                 state->reply_port, state->reply_site, std::move(state->reply));
-  if (options_.early_lock_release && !crashed_) {
+  if (!crashed_) {
     // The decision is made and logged (CommitLocally framed the record): tell
     // the participants so they release their prepare locks NOW and cover the
     // gap with visibility watermarks, instead of holding them for the full
     // propagation round trip. Decision loss is benign — the participant then
-    // just releases on the old propagation edge (or the stale sweep).
+    // just releases on the propagation edge (or the stale sweep).
     if (!state->yes_votes.empty()) {
       auto cv = committed_versions_.find(state->tid);
       Version version = cv != committed_versions_.end() ? cv->second : Version{};
@@ -1392,24 +1350,6 @@ void WalterServer::FinishSlowCommit(std::shared_ptr<SlowCommitState> state) {
   }
 }
 
-bool WalterServer::PrepareLocal(TxId tid, const std::vector<ObjectId>& oids,
-                                const VectorTimestamp& vts, SiteId coordinator,
-                                const std::vector<ObjectId>& read_oids) {
-  if (lock_owners_.contains(tid)) {
-    return true;  // duplicate prepare (coordinator retried): re-affirm the vote
-  }
-  for (const auto& oid : oids) {
-    if (lease_checker_ && !lease_checker_(oid.container)) {
-      return false;
-    }
-    if (locks_.contains(oid) || !store_.Unmodified(oid, vts)) {
-      return false;
-    }
-  }
-  LockAll(tid, oids, coordinator, 0, read_oids);
-  return true;
-}
-
 void WalterServer::HandlePrepare(const Message& msg, RpcEndpoint::ReplyFn reply) {
   PrepareRequest req = PrepareRequest::Deserialize(msg.payload);
   SiteId coordinator = msg.from.site;
@@ -1417,41 +1357,28 @@ void WalterServer::HandlePrepare(const Message& msg, RpcEndpoint::ReplyFn reply)
                                                     reply = std::move(reply)]() {
     ++stats_.prepares_handled;
     WTRACE(sim_->Now(), TraceKind::kPrepareRecv, req.tid, options_.site, 0, coordinator);
-    if (options_.early_lock_release) {
-      // A removed coordinator works from a stale snapshot; refuse its prepares
-      // until it is reintegrated.
-      if (!site_active_[coordinator]) {
-        ReplyPrepareVote(req.tid, coordinator, reply, false, AbortReason::kConflict);
-        return;
-      }
-      if (options_.clock_commit && req.commit_ts != 0) {
-        SimTime local = clock_.LocalNow(sim_->Now());
-        if (local >= req.commit_ts) {
-          // The coordinator's timestamp is already in our past (late arrival
-          // or skew beyond the budget): vote immediately as classic 2PC and
-          // tell the coordinator its hold budget was blown.
-          ++stats_.clock_fallbacks;
-          WTRACE(sim_->Now(), TraceKind::kClockFallback, req.tid, options_.site,
-                 static_cast<uint64_t>(local - req.commit_ts), coordinator);
-          AnswerPrepare(std::move(req), coordinator, std::move(reply), 0, true);
-        } else {
-          HoldPrepare(std::move(req), coordinator, std::move(reply));
-        }
-        return;
-      }
-      AnswerPrepare(std::move(req), coordinator, std::move(reply), 0);
-      return;
-    }
-    PrepareResponse resp;
     // A removed coordinator works from a stale snapshot; refuse its prepares
     // until it is reintegrated.
-    resp.vote_yes = site_active_[coordinator] &&
-                    PrepareLocal(req.tid, req.oids, req.start_vts, coordinator, req.read_oids);
-    WTRACE(sim_->Now(), TraceKind::kPrepareVote, req.tid, options_.site,
-           resp.vote_yes ? 1 : 0, coordinator);
-    Message m;
-    m.payload = resp.Serialize();
-    reply(std::move(m));
+    if (!site_active_[coordinator]) {
+      ReplyPrepareVote(req.tid, coordinator, reply, false, AbortReason::kConflict);
+      return;
+    }
+    if (options_.clock_commit && req.commit_ts != 0) {
+      SimTime local = clock_.LocalNow(sim_->Now());
+      if (local >= req.commit_ts) {
+        // The coordinator's timestamp is already in our past (late arrival or
+        // skew beyond the budget): vote immediately as classic 2PC and tell
+        // the coordinator its hold budget was blown.
+        ++stats_.clock_fallbacks;
+        WTRACE(sim_->Now(), TraceKind::kClockFallback, req.tid, options_.site,
+               static_cast<uint64_t>(local - req.commit_ts), coordinator);
+        AnswerPrepare(std::move(req), coordinator, std::move(reply), 0, true);
+      } else {
+        HoldPrepare(std::move(req), coordinator, std::move(reply));
+      }
+      return;
+    }
+    AnswerPrepare(std::move(req), coordinator, std::move(reply), 0);
   });
 }
 
@@ -1474,7 +1401,8 @@ void WalterServer::AnswerPrepare(PrepareRequest req, SiteId coordinator,
   if (lock_waiters_.contains(req.tid)) {
     // A duplicate prepare while the first copy is parked (coordinator resend):
     // refuse rather than stack two deferred votes. The parked copy answers the
-    // RPC it arrived on when it resolves; this reply reaches a dead call id.
+    // RPC it arrived on, which the coordinator already timed out; this refusal
+    // answers the live retransmission, so the coordinator aborts.
     ReplyPrepareVote(req.tid, coordinator, reply, false, AbortReason::kConflict,
                      clock_fallback);
     return;
@@ -1487,11 +1415,8 @@ void WalterServer::AnswerPrepare(PrepareRequest req, SiteId coordinator,
     }
     ++stats_.lock_waits;
     WTRACE(sim_->Now(), TraceKind::kLockWait, req.tid, options_.site, blocker, coordinator);
-    uint64_t priority = req.priority != 0
-                            ? req.priority
-                            : static_cast<uint64_t>(deadline - options_.lock_wait_timeout) + 1;
     std::vector<ObjectId> oids = req.oids;
-    ParkLockWaiter(req.tid, priority, std::move(oids), deadline,
+    ParkLockWaiter(req.tid, req.priority, std::move(oids), deadline,
                    [this, req, coordinator, reply, deadline,
                     clock_fallback](bool timed_out) {
                      if (timed_out) {
@@ -1506,7 +1431,7 @@ void WalterServer::AnswerPrepare(PrepareRequest req, SiteId coordinator,
   }
   if (c == PrepareCheck::kYes) {
     if (!lock_owners_.contains(req.tid)) {
-      LockAll(req.tid, req.oids, coordinator, req.priority, req.read_oids);
+      LockAll(req.tid, req.oids, coordinator, req.read_oids);
     }
     ReplyPrepareVote(req.tid, coordinator, reply, true, AbortReason::kNone, clock_fallback);
     return;
@@ -1601,7 +1526,7 @@ WalterServer::PrepareCheck WalterServer::CheckPrepare(TxId tid,
     if (!store_.Unmodified(oid, vts)) {
       return PrepareCheck::kNo;
     }
-    if (options_.early_lock_release && store_.WatermarkBlocksWrite(oid)) {
+    if (store_.WatermarkBlocksWrite(oid)) {
       if (options_.clock_commit && !store_.WatermarkBlocksWrite(oid, vts)) {
         // Clock-commit relaxation: every decided-but-unapplied version on oid
         // is already Seen by this snapshot (a dependent back-to-back commit).
@@ -1616,55 +1541,39 @@ WalterServer::PrepareCheck WalterServer::CheckPrepare(TxId tid,
     auto lock = locks_.find(oid);
     if (lock != locks_.end() && lock->second != tid) {
       blocked = true;
-      if (blocker != nullptr) {
-        *blocker = lock->second;
-      }
     }
   }
   if (!blocked) {
     return PrepareCheck::kYes;
   }
-  if (!options_.early_lock_release) {
-    return PrepareCheck::kNo;  // legacy protocol: a held lock is a no vote
-  }
-  if (priority != 0) {
-    // Wound-wait: a strictly younger holder whose 2PC this server coordinates
-    // (still collecting votes, so its outcome is ours to decide) is wounded.
-    // Holders whose coordinator is elsewhere already cast a yes vote we cannot
-    // take back — the requester waits for those.
-    for (const auto& oid : oids) {
-      auto lock = locks_.find(oid);
-      if (lock == locks_.end() || lock->second == tid) {
-        continue;
-      }
-      auto sc = slow_commits_.find(lock->second);
-      if (sc == slow_commits_.end()) {
-        continue;
-      }
-      uint64_t holder_priority = sc->second->priority;
-      bool older = holder_priority != 0 &&
-                   (priority < holder_priority ||
-                    (priority == holder_priority && tid < lock->second));
-      if (older) {
-        WoundLocal(sc->second, tid);
-      }
+  // Wound-wait: a strictly younger holder whose 2PC this server coordinates
+  // (still collecting votes, so its outcome is ours to decide) is wounded.
+  // Holders whose coordinator is elsewhere already cast a yes vote we cannot
+  // take back — the requester waits for those.
+  for (const auto& oid : oids) {
+    auto lock = locks_.find(oid);
+    if (lock == locks_.end() || lock->second == tid) {
+      continue;
     }
-    blocked = false;
-    for (const auto& oid : oids) {
-      auto lock = locks_.find(oid);
-      if (lock != locks_.end() && lock->second != tid) {
-        blocked = true;
-        if (blocker != nullptr) {
-          *blocker = lock->second;
-        }
-        break;
-      }
+    auto sc = slow_commits_.find(lock->second);
+    if (sc == slow_commits_.end()) {
+      continue;
     }
-    if (!blocked) {
-      return PrepareCheck::kYes;
+    uint64_t holder_priority = sc->second->priority;
+    if (priority < holder_priority || (priority == holder_priority && tid < lock->second)) {
+      WoundLocal(sc->second, tid);
     }
   }
-  return PrepareCheck::kWait;
+  for (const auto& oid : oids) {
+    auto lock = locks_.find(oid);
+    if (lock != locks_.end() && lock->second != tid) {
+      if (blocker != nullptr) {
+        *blocker = lock->second;
+      }
+      return PrepareCheck::kWait;
+    }
+  }
+  return PrepareCheck::kYes;
 }
 
 void WalterServer::WoundLocal(const std::shared_ptr<SlowCommitState>& victim, TxId winner) {
@@ -1691,8 +1600,7 @@ void WalterServer::HandleAbort2pc(const Message& msg) {
 void WalterServer::HandleCommitDecision(const Message& msg) {
   CommitDecision decision = CommitDecision::Deserialize(msg.payload);
   SiteId origin = decision.version.site;
-  if (!options_.early_lock_release || origin >= options_.num_sites ||
-      origin == options_.site || !site_active_[origin]) {
+  if (origin >= options_.num_sites || origin == options_.site || !site_active_[origin]) {
     return;
   }
   ++stats_.decisions_received;
@@ -1724,12 +1632,11 @@ void WalterServer::HandleCommitDecision(const Message& msg) {
 }
 
 void WalterServer::LockAll(TxId tid, const std::vector<ObjectId>& oids, SiteId coordinator,
-                           uint64_t priority, const std::vector<ObjectId>& read_oids) {
+                           const std::vector<ObjectId>& read_oids) {
   WTRACE(sim_->Now(), TraceKind::kLockAcquire, tid, options_.site, oids.size(), coordinator);
   LockOwner& owner = lock_owners_[tid];
   owner.coordinator = coordinator;
   owner.acquired = sim_->Now();
-  owner.priority = priority;
   owner.read_oids = read_oids;  // sorted; only consulted at decision time
   for (const auto& oid : oids) {
     locks_[oid] = tid;
@@ -1759,8 +1666,7 @@ void WalterServer::ReleaseLocks(TxId tid) {
   if (!pending_wakes_.empty() && !wake_scheduled_) {
     // Deferred wake: resuming a waiter can re-enter the commit machinery, and
     // ReleaseLocks is called from inside its loops (AdvanceLocalCommits,
-    // TryCommitRemotes). Never scheduled with the flag off: the waitlist is
-    // empty, so the legacy event sequence is untouched.
+    // TryCommitRemotes).
     wake_scheduled_ = true;
     sim_->After(0, Guard([this]() { WakeLockWaiters(); }));
   }
@@ -1987,9 +1893,6 @@ void WalterServer::SendPropagateAck(SiteId origin) {
   ack.from = options_.site;
   ack.origin = origin;
   ack.received_through = got_vts_.at(origin);
-  if (options_.frontier_gossip) {
-    ack.stability_floor = StabilityFloor();
-  }
   endpoint_.Send(Address{origin, kWalterPort}, kPropagateAck, ack.Serialize());
 }
 
@@ -2070,12 +1973,12 @@ void WalterServer::TryCommitRemotes() {
         continue;
       }
       auto& uncommitted = uncommitted_remote_[j];
-      // Co-sited fast visibility (early-release mode): for a shard in the same
+      // Co-sited fast visibility: for a shard in the same
       // geo site the durability gate is unnecessary — the origin flushed the
       // record before sending it, and co-located shards share fate (§5.7), so
       // "durable at the origin" is as strong as our own flush. Skipping the
       // round-trip lets watermarked versions commit at LAN latency.
-      bool co_sited = options_.early_lock_release && !options_.geo_site_of.empty() &&
+      bool co_sited = !options_.geo_site_of.empty() &&
                       options_.geo_site_of[j] == options_.geo_site_of[options_.site];
       while (!uncommitted.empty()) {
         auto it = uncommitted.begin();
@@ -2123,13 +2026,6 @@ void WalterServer::HandlePropagateAck(const Message& msg) {
     return;
   }
   DestState& ds = dests_[ack.from];
-  if (ack.stability_floor.num_sites() > 0 && site_active_[ack.from]) {
-    // frontier-gossip mode: remember the peer's acked stability floor. Floors
-    // are monotone per peer (committed/durable state only advances, and a pin
-    // only lowers the floor it was created under), so max-merge is safe even
-    // when acks arrive out of order.
-    peer_floors_[ack.from].MergeMax(ack.stability_floor);
-  }
   uint64_t before_ack = ds.acked_through;
   ds.acked_through = std::max(ds.acked_through, ack.received_through);
   if (ds.acked_through > before_ack) {
@@ -2447,17 +2343,13 @@ void WalterServer::StartGossip() {
           continue;
         }
         endpoint_.Send(Address{s, kWalterPort}, kDsDurable, announce);
-        // Also refreshes the gossiped floor when idle, so frontiers keep
-        // advancing without new propagation traffic.
+        // Re-acks what we received, healing a lost PROPAGATE-ACK.
         SendPropagateAck(s);
         VisibleAck vis;
         vis.from = options_.site;
         vis.origin = s;
         vis.committed_through = committed_vts_.at(s);
         endpoint_.Send(Address{s, kWalterPort}, kVisibleAck, vis.Serialize());
-      }
-      if (options_.frontier_gossip) {
-        GossipFrontierGc();
       }
     }
     StartGossip();
@@ -2500,8 +2392,7 @@ void WalterServer::AnswerRemoteRead(RemoteReadRequest req, RpcEndpoint::ReplyFn 
                                     uint32_t park_attempt) {
   {
     RemoteReadResponse resp;
-    bool wm_blocked = options_.early_lock_release && store_.has_watermarks() &&
-                      store_.WatermarkBlocksRead(req.oid, req.vts);
+    bool wm_blocked = store_.has_watermarks() && store_.WatermarkBlocksRead(req.oid, req.vts);
     if (wm_blocked && req.mode == ConsistencyMode::kNmsi) {
       // NMSI: answer from the latest applied version instead of waiting for
       // the decided one — the permitted non-monotonic read, remote edition.
@@ -2987,9 +2878,6 @@ void WalterServer::SetSiteActive(SiteId s, bool active) {
     return;
   }
   site_active_[s] = active;
-  if (!active) {
-    peer_floors_[s] = VectorTimestamp();  // a removed site's floor is void
-  }
   // Membership changes re-derive the configuration-gated watermarks: a removed
   // site no longer gates disaster-safe durability or global visibility (it can
   // never ack), and a reintegrated site starts gating them again and must be
@@ -3145,27 +3033,6 @@ size_t WalterServer::DriveGc(const VectorTimestamp& frontier) {
   return folded;
 }
 
-void WalterServer::GossipFrontierGc() {
-  // Decentralized frontier: the min of every in-config peer's acked stability
-  // floor and our own. A peer we have not heard from contributes zero (its
-  // floor is empty), freezing the frontier until acks flow — the same stall
-  // semantics as the coordinator's dead-site rule, computed locally.
-  VectorTimestamp frontier = StabilityFloor();
-  for (SiteId s = 0; s < options_.num_sites; ++s) {
-    if (s == options_.site || !site_active_[s]) {
-      continue;
-    }
-    if (peer_floors_[s].num_sites() == 0) {
-      return;  // not heard yet: no safe frontier exists
-    }
-    frontier.MergeMin(peer_floors_[s]);
-  }
-  if (!store_.gc_frontier().Covers(frontier)) {
-    DriveGc(frontier);
-  }
-  AgeTxOutcomes();
-}
-
 void WalterServer::RecordOutcome(TxId tid) {
   if (options_.tx_outcome_retention > 0) {
     outcome_log_.emplace_back(sim_->Now(), tid);
@@ -3234,7 +3101,7 @@ void WalterServer::ExportMetrics(MetricsRegistry& metrics) const {
               static_cast<double>(stats_.recovery_bad_checkpoints));
   metrics.Set("server.recovery_backfilled", s, static_cast<double>(stats_.recovery_backfilled));
   metrics.Set("server.disk_stall_bursts", s, static_cast<double>(disk_.stall_bursts()));
-  // Early-lock-release counters: all zero with the flag off.
+  // Early-lock-release counters.
   metrics.Set("server.early_releases", s, static_cast<double>(stats_.early_releases));
   metrics.Set("server.decisions_sent", s, static_cast<double>(stats_.decisions_sent));
   metrics.Set("server.decisions_received", s, static_cast<double>(stats_.decisions_received));

@@ -93,34 +93,15 @@ class WalterServer {
     // by the GC frontier (the frontier can advance within a client's retry
     // window). 0 retains outcomes forever.
     SimDuration tx_outcome_retention = Seconds(30);
-    // Decentralized stability-frontier exchange: each site piggybacks its
-    // stability floor on propagation acks and folds its own histories from the
-    // acked floors, instead of relying on the cluster-level GC coordinator.
-    // Off by default: the extra ack payload changes wire bytes, and sites
-    // GC'ing at different frontiers forces sub-frontier remote reads to be
-    // refused rather than answered.
-    bool frontier_gossip = false;
     // Real-file WAL backing: when non-empty, the WAL mirrors every append into
     // segmented log files under this directory (see FileWalDevice) and fsyncs
     // on group-commit flush. Empty (default) keeps the in-memory image only —
     // the simulated benchmarks' behavior is unchanged.
     std::string wal_dir;
-    // Decision/visibility decoupling (the Figure-13 lock-lifetime split, wired
-    // from ClusterOptions::early_lock_release). On: participants release 2PC
-    // prepare locks when the coordinator's commit decision arrives, installing
-    // per-object visibility watermarks that park readers (instead of holding
-    // the lock until the record propagates back durable + covered); prepares
-    // and fast commits blocked on a held lock wait with wound-wait ordering
-    // instead of aborting; all-co-sited 2PCs acquire sites in global object
-    // order; and remote records from a co-sited origin commit without waiting
-    // for disaster-safe durability (co-located shards fail together — the
-    // same §5.7 single-shard caveat sharding already documents). Off: every
-    // code path and wire byte is identical to the pre-watermark protocol.
-    bool early_lock_release = false;
     // How long a prepare or fast commit blocked on a held lock waits for the
-    // holder to resolve before voting no / aborting (early_lock_release only).
-    // Must stay below resend_timeout or the coordinator counts a still-parked
-    // participant as a transport-dead no vote.
+    // holder to resolve before voting no / aborting. Must stay below
+    // resend_timeout or the coordinator counts a still-parked participant as a
+    // transport-dead no vote.
     SimDuration lock_wait_timeout = Millis(500);
     // Bounded re-park for reads blocked by a visibility watermark (or, in
     // sharded mode, by a sibling-shard snapshot gap). The first
@@ -140,17 +121,15 @@ class WalterServer {
     // admission_max_inflight admitted ops are still unanswered, is rejected
     // before any CPU is charged: kOverloaded plus a retry-after hint sized to
     // the queue's drain time. Aborts are always admitted — they release
-    // server-side state and shrink the overload. Wired from
-    // ClusterOptions::admission / the WALTER_ADMISSION kill-switch.
+    // server-side state and shrink the overload.
     size_t admission_max_queue = 0;
     size_t admission_max_inflight = 0;
     // Geographic site of each global server id (filled by the cluster from its
     // shard map). Empty = every server is its own geo site, which disables the
     // co-sited fast-visibility path.
     std::vector<SiteId> geo_site_of;
-    // Clock-ordered WAN commits (wired from ClusterOptions::clock_commit / the
-    // WALTER_CLOCK_COMMIT kill-switch; requires early_lock_release). On: the
-    // slow-commit coordinator stamps each WAN prepare with a future commit
+    // Clock-ordered WAN commits (wired from ClusterOptions::clock_commit). On:
+    // the slow-commit coordinator stamps each WAN prepare with a future commit
     // timestamp (its local clock + clock_max_owd + 2*skew bound + clock_slack);
     // participants hold the vote until their own clock passes it and evaluate
     // held votes in (commit_ts, coordinator, tid) order, so concurrent
@@ -159,7 +138,7 @@ class WalterServer {
     // decided version the writer's snapshot already Sees is not a conflict
     // (the writer builds on that version; remote apply is causality-gated), so
     // dependent back-to-back slow commits stop false-aborting for the
-    // propagation round trip. Off: every code path and wire byte is identical.
+    // propagation round trip. Off: nothing is stamped or held.
     bool clock_commit = false;
     ClockModel::Options clock;          // per-site skew/drift model
     // Maximum one-way delay to any 2PC participant (the cluster wires this
@@ -451,7 +430,6 @@ class WalterServer {
   struct SlowCommitState {
     TxId tid = 0;
     ActiveTx tx;
-    std::vector<SiteId> sites;  // preferred sites of the write-set
     std::vector<SiteId> yes_votes;  // remote sites holding locks for us
     size_t votes_pending = 0;
     bool any_no = false;
@@ -461,7 +439,6 @@ class WalterServer {
     bool want_visible = false;
     uint32_t reply_port = 0;
     SiteId reply_site = kNoSite;
-    // early_lock_release additions (all inert when the flag is off):
     AbortReason abort_reason = AbortReason::kConflict;  // first no-vote's reason
     uint64_t priority = 0;            // wound-wait age (commit entry time + 1)
     bool sequential = false;          // all-co-sited: acquire sites one at a time
@@ -516,8 +493,8 @@ class WalterServer {
   void FastCommit(TxId tid, ActiveTx tx, bool want_durable, bool want_visible,
                   uint32_t reply_port, SiteId reply_site,
                   std::function<void(ClientOpResponse)> respond, SimTime deadline = 0);
-  void SlowCommit(TxId tid, ActiveTx tx, std::vector<SiteId> sites, bool want_durable,
-                  bool want_visible, uint32_t reply_port, SiteId reply_site,
+  void SlowCommit(TxId tid, ActiveTx tx, bool want_durable, bool want_visible,
+                  uint32_t reply_port, SiteId reply_site,
                   std::function<void(ClientOpResponse)> respond);
   void FinishSlowCommit(std::shared_ptr<SlowCommitState> state);
   // Shared local-commit tail: assign seqno, apply, group-commit flush.
@@ -527,25 +504,31 @@ class WalterServer {
   void OnLocalFlushed(uint64_t seqno);
   void AdvanceLocalCommits();
 
-  bool PrepareLocal(TxId tid, const std::vector<ObjectId>& oids, const VectorTimestamp& vts,
-                    SiteId coordinator, const std::vector<ObjectId>& read_oids = {});
   void HandlePrepare(const Message& msg, RpcEndpoint::ReplyFn reply);
   void HandleAbort2pc(const Message& msg);
   void HandleTxStatus(const Message& msg, RpcEndpoint::ReplyFn reply);
   void LockAll(TxId tid, const std::vector<ObjectId>& oids, SiteId coordinator,
-               uint64_t priority = 0, const std::vector<ObjectId>& read_oids = {});
+               const std::vector<ObjectId>& read_oids);
   void ReleaseLocks(TxId tid);
   // 2PC termination: queries coordinators of stale prepare locks so an orphaned
-  // lock (coordinator crashed mid-2PC) is eventually released. With early
-  // release on, also probes stale watermarks (decision origin crashed before
-  // the record became durable) and drops the ones the origin reports aborted.
+  // lock (coordinator crashed mid-2PC) is eventually released. Also probes
+  // stale watermarks (decision origin crashed before the record became
+  // durable) and drops the ones the origin reports aborted.
   void SweepStaleLocks();
-  // Stale-watermark half of the sweep (see SweepStaleLocks); separate so the
-  // common flag-off path pays one has_watermarks() check only.
+  // Stale-watermark half of the sweep (see SweepStaleLocks); separate so a
+  // sweep with no watermarks installed pays one has_watermarks() check only.
   void SweepStaleWatermarks();
   bool WatermarkStillLive(TxId tid) const;
 
-  // --- early lock release (all no-ops / unreachable when the flag is off) ---
+  // --- early lock release (the Figure-13 lock-lifetime split) ---
+  // Participants release 2PC prepare locks when the coordinator's commit
+  // decision arrives, installing per-object visibility watermarks that park
+  // readers until the record commits here. Prepares and fast commits blocked
+  // on a held lock wait with wound-wait ordering instead of aborting;
+  // all-co-sited 2PCs acquire sites in global object order; and remote
+  // records from a co-sited origin commit without waiting for disaster-safe
+  // durability (co-located shards fail together — the same §5.7 single-shard
+  // caveat sharding already documents).
   // Classifies a prepare-style lock acquisition: grant, permanent conflict, or
   // blocked-by-a-live-holder (wait). Runs the wound-wait pass before answering
   // kWait: strictly younger holders whose 2PC this server coordinates are
@@ -556,8 +539,8 @@ class WalterServer {
   // Marks a coordinator-local slow commit as wound-aborted and frees its locks;
   // its outstanding vote drives the normal abort path.
   void WoundLocal(const std::shared_ptr<SlowCommitState>& victim, TxId winner);
-  // Coordinator-side vote arrival, shared by the legacy parallel path, the
-  // flag-on parallel path and the sequential (ordered, co-sited) path.
+  // Coordinator-side vote arrival, shared by the parallel (WAN) path and the
+  // sequential (ordered, co-sited) path.
   void OnPrepareVote(const std::shared_ptr<SlowCommitState>& state, SiteId voter, bool yes,
                      AbortReason reason);
   // Sequential mode: issues the next site's prepare (or finishes).
@@ -615,9 +598,6 @@ class WalterServer {
   void SweepIdleTxs();
   // Stamps a settled commit/abort outcome for time-based aging.
   void RecordOutcome(TxId tid);
-  // frontier_gossip mode: folds local histories at the min of the peers' acked
-  // stability floors (runs on the gossip tick).
-  void GossipFrontierGc();
   // Shared checkpoint body (Checkpoint / CheckpointRetaining).
   std::string BuildCheckpointImage() const;
 
@@ -674,7 +654,6 @@ class WalterServer {
     SiteId coordinator = kNoSite;
     SimTime acquired = 0;
     bool query_in_flight = false;
-    uint64_t priority = 0;  // holder's wound-wait age (0 = pre-watermark protocol)
     // Serializable mode: the transaction's read set (sorted). Oids in here are
     // locked like the rest but are never written, so the commit decision must
     // not install visibility watermarks for them.
@@ -682,10 +661,8 @@ class WalterServer {
   };
   std::unordered_map<ObjectId, TxId> locks_;
   std::unordered_map<TxId, LockOwner> lock_owners_;
-  // Parked lock waiters (early_lock_release): a prepare or fast commit blocked
-  // on a held lock waits here until the holder resolves or the wait times out.
-  // All maps stay empty with the flag off — ReleaseLocks' wake hook is gated on
-  // that, so the legacy event sequence is untouched.
+  // Parked lock waiters: a prepare or fast commit blocked on a held lock waits
+  // here until the holder resolves or the wait times out.
   struct LockWaiter {
     TxId tid = 0;
     uint64_t priority = 0;
@@ -783,9 +760,6 @@ class WalterServer {
   StorageEventHook storage_hook_;
   std::function<bool(ContainerId)> lease_checker_;
   std::function<std::optional<VectorTimestamp>()> pin_floor_provider_;
-  // frontier_gossip mode: latest stability floor acked by each peer (empty =
-  // not heard yet, contributes zero and blocks folding).
-  std::vector<VectorTimestamp> peer_floors_;
   bool crashed_ = false;
   Stats stats_;
   std::shared_ptr<bool> alive_;

@@ -80,7 +80,7 @@ enum class TraceKind : uint8_t {
   kRecoveryBackfill,   // own record re-installed from a peer; arg = seqno, aux = peer
   kRecoveryDone,       // Restore finished; arg = restored own seqno
   kDiskStall,          // injected disk stall burst; arg = slowdown factor
-  // Early lock release / visibility watermarks (ClusterOptions::early_lock_release).
+  // Early lock release / visibility watermarks (2PC participant locks).
   kLockWait,           // prepare/fast-commit parked on a held lock; arg = holder tid
   kLockWound,          // wound-wait victim aborted; tid = victim, arg = winner tid
   kWaitWatermark,      // read parked on a visibility watermark; arg = seqno, aux = origin

@@ -181,7 +181,7 @@ class Store {
   size_t checkpoint_frontier_ = 0;
   VectorTimestamp gc_frontier_;
   // Visibility watermarks, indexed both ways: per object (write/read checks)
-  // and per transaction (clear/drop). Empty in every pre-watermark code path.
+  // and per transaction (clear/drop).
   std::unordered_map<ObjectId, std::vector<std::pair<Version, TxId>>> watermarks_;
   std::unordered_map<TxId, WatermarkTx> watermark_txs_;
 };

@@ -1,12 +1,10 @@
-// Tests of the three baselines: BDB-like primary-copy SI store, Redis-like
-// store with master-slave replication, and the eventually consistent store
-// (which exhibits the conflicting fork PSI precludes).
+// Tests of the two baselines: BDB-like primary-copy SI store and Redis-like
+// store with master-slave replication.
 #include <gtest/gtest.h>
 
 #include <optional>
 
 #include "src/baseline/bdb_store.h"
-#include "src/baseline/eventual_store.h"
 #include "src/baseline/redis_store.h"
 #include "src/net/network.h"
 #include "src/sim/simulator.h"
@@ -267,70 +265,6 @@ TEST(RedisTest, MasterSlaveReplication) {
     got = true;
   });
   Drive(fx.sim, [&] { return got; });
-  EXPECT_EQ(value, "v");
-}
-
-// --- Eventual consistency ------------------------------------------------------
-
-TEST(EventualTest, ConflictingForkDetectedAndResolvedByLww) {
-  Simulator sim(1);
-  Network net(&sim, Topology::Ec2Subset(2));
-  EventualServer::Options o0{.site = 0, .num_sites = 2};
-  EventualServer::Options o1{.site = 1, .num_sites = 2};
-  EventualServer s0(&sim, &net, o0);
-  EventualServer s1(&sim, &net, o1);
-  EventualClient c0(&net, 0, kClientPortBase);
-  EventualClient c1(&net, 1, kClientPortBase);
-
-  // Concurrent writes to the same key at both sites: BOTH are accepted (this
-  // is the conflicting fork PSI forbids), then LWW silently drops one.
-  int done = 0;
-  c0.Put("A", "site0", [&](Status s) {
-    ASSERT_TRUE(s.ok());
-    ++done;
-  });
-  c1.Put("A", "site1", [&](Status s) {
-    ASSERT_TRUE(s.ok());
-    ++done;
-  });
-  Drive(sim, [&] { return done == 2; });
-  sim.RunUntil(sim.Now() + Seconds(2));  // replicate
-
-  // Converged to one value at both sites...
-  std::optional<std::string> v0;
-  std::optional<std::string> v1;
-  int got = 0;
-  c0.Get("A", [&](Status, std::optional<std::string> v) {
-    v0 = std::move(v);
-    ++got;
-  });
-  c1.Get("A", [&](Status, std::optional<std::string> v) {
-    v1 = std::move(v);
-    ++got;
-  });
-  Drive(sim, [&] { return got == 2; });
-  EXPECT_EQ(v0, v1);
-  // ...but one user's write was silently lost, and the store knows it had to
-  // resolve a conflict — exactly what PSI's no-write-write-conflicts avoids.
-  EXPECT_GE(s0.conflicts_detected() + s1.conflicts_detected(), 1u);
-}
-
-TEST(EventualTest, SingleSiteReadsOwnWrites) {
-  Simulator sim(1);
-  Network net(&sim, Topology::Ec2Subset(1));
-  EventualServer::Options options{.site = 0, .num_sites = 1};
-  EventualServer server(&sim, &net, options);
-  EventualClient client(&net, 0, kClientPortBase);
-  bool put_done = false;
-  client.Put("k", "v", [&](Status) { put_done = true; });
-  Drive(sim, [&] { return put_done; });
-  std::optional<std::string> value;
-  bool got = false;
-  client.Get("k", [&](Status, std::optional<std::string> v) {
-    value = std::move(v);
-    got = true;
-  });
-  Drive(sim, [&] { return got; });
   EXPECT_EQ(value, "v");
 }
 

@@ -1,7 +1,9 @@
 // Early lock release (visibility watermarks, wound-wait, ordered prepares):
 // PSI over seeded cross-shard workloads at high cross-shard fractions, the
 // stale-lock-sweep interplay, coordinator crash after the commit decision,
-// and the GC stability-floor belt for watermarked versions.
+// the GC stability-floor belt for watermarked versions, lock waits behind a
+// holder that cannot be wounded, and the clock-commit watermark bypass at a
+// participant.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -21,8 +23,7 @@ namespace {
 ObjectId Oid(uint64_t container, uint64_t local) { return ObjectId{container, local}; }
 
 // Logic-test options (shard_test.cc's ShardedOptions): no modeled CPU/disk
-// cost, no gossip, deterministic network. early_lock_release stays at its
-// default (on) — these tests exercise the new protocol.
+// cost, no gossip, deterministic network.
 ClusterOptions ShardedOptions(size_t num_sites, size_t shards_per_site) {
   ClusterOptions o;
   o.num_sites = num_sites;
@@ -33,10 +34,12 @@ ClusterOptions ShardedOptions(size_t num_sites, size_t shards_per_site) {
   return o;
 }
 
-// Finds a container preferred at `site` that its shard map hashes to `shard`.
-ContainerId ContainerOnShard(const ShardMap& map, SiteId site, size_t shard) {
+// Finds the smallest container at least `min` that is preferred at `site` and
+// that its shard map hashes to `shard`.
+ContainerId ContainerOnShard(const ShardMap& map, SiteId site, size_t shard,
+                             ContainerId min = 0) {
   for (ContainerId c = site;; c += map.num_sites()) {
-    if (map.ShardOf(c, site) == shard) {
+    if (c >= min && map.ShardOf(c, site) == shard) {
       return c;
     }
   }
@@ -56,6 +59,14 @@ std::optional<std::string> ReadOnce(Cluster& cluster, WalterClient* client,
   }
   EXPECT_TRUE(done);
   return value;
+}
+
+// Commits `tx` and runs the cluster until nothing is left to do (gossip off).
+Status CommitAndSettle(Cluster& cluster, Tx& tx) {
+  std::optional<Status> status;
+  tx.Commit([&](Status s) { status = s; });
+  cluster.RunUntilIdle();
+  return status.value_or(Status::Internal("commit never resolved"));
 }
 
 // Seeded read-then-write workload where `cross_fraction` of the transactions
@@ -407,6 +418,203 @@ TEST(EarlyReleaseStarvationTest, StuckWatermarkSurfacesWatchdogVerdict) {
 
   server.store().DropWatermarksOfTx(888888);
   cluster.RunUntilIdle();
+}
+
+// --- lock waits behind a holder this server cannot wound --------------------
+
+// One site, three shards, and prepares retried once. The holder transaction
+// is coordinated by shard 2 and locks an object on shard 0; wound-wait cannot
+// preempt it there, because shard 0 does not coordinate it. The first
+// `votes_lost` kPrepare responses from shard 0 to shard 2 are dropped. With
+// one lost, shard 2 retransmits after the 2s resend timeout, shard 0
+// re-affirms the vote it already holds, and the holder commits. With both
+// lost, shard 2 counts shard 0 as transport-dead and aborts without telling
+// it; gossip is off, so no stale-lock sweep runs and shard 0 keeps the lock.
+class EarlyReleaseLockWaitTest : public ::testing::Test {
+ protected:
+  void Start(ClusterOptions options, int votes_lost) {
+    options.server.prepare_attempts = 2;
+    cluster_ = std::make_unique<Cluster>(options);
+    const ShardMap& map = cluster_->shard_map();
+    for (size_t shard = 0; shard < 3; ++shard) {
+      c_[shard] = ContainerOnShard(map, 0, shard);
+      s_[shard] = map.ServerAt(0, shard);
+    }
+    cluster_->net().SetDropFilter(
+        [this, votes_lost](const Message& m, const Address& from, const Address& to) {
+          if (m.is_response && m.type == kPrepare && from.site == s_[0] &&
+              to.site == s_[2] && votes_dropped_ < votes_lost) {
+            ++votes_dropped_;
+            return true;
+          }
+          return false;
+        });
+    holder_ = std::make_unique<Tx>(cluster_->AddClient(0));
+    holder_->Write(Oid(c_[2], 1), "h");  // first write: shard 2 coordinates
+    holder_->Write(Oid(c_[0], 1), "h");
+    holder_->Commit([this](Status s) { holder_status_ = s; });
+    for (int i = 0; i < 100000 && server(0).lock_count() == 0; ++i) {
+      if (!cluster_->sim().Step()) {
+        break;
+      }
+    }
+    ASSERT_EQ(server(0).lock_count(), 1u) << "holder never locked shard 0";
+  }
+
+  WalterServer& server(size_t shard) { return cluster_->server(s_[shard]); }
+
+  std::unique_ptr<Cluster> cluster_;
+  ContainerId c_[3] = {};
+  SiteId s_[3] = {};
+  std::unique_ptr<Tx> holder_;
+  std::optional<Status> holder_status_;
+  int votes_dropped_ = 0;
+};
+
+// The coordinator's own vote parks behind the holder and gives up after
+// lock_wait_timeout (0.5s, before the holder's retransmission at 2s): the
+// transaction aborts with reason kTimeout, and the holder then commits.
+TEST_F(EarlyReleaseLockWaitTest, LocalVoteTimesOut) {
+  Start(ShardedOptions(1, 3), /*votes_lost=*/1);
+  Tx tx(cluster_->AddClient(0));
+  tx.Write(Oid(c_[0], 1), "t");  // first write: shard 0 coordinates
+  tx.Write(Oid(c_[1], 1), "t");
+  EXPECT_EQ(CommitAndSettle(*cluster_, tx).code(), StatusCode::kAborted);
+
+  EXPECT_EQ(server(0).stats().lock_waits, 1u);
+  EXPECT_EQ(server(0).stats().lock_wait_timeouts, 1u);
+  EXPECT_EQ(server(0).stats().aborts_timeout, 1u);
+  EXPECT_EQ(server(0).lock_waiter_count(), 0u);
+  // Shard 0 re-affirmed the holder's retransmitted prepare.
+  EXPECT_EQ(server(2).stats().prepare_retries, 1u);
+  EXPECT_EQ(server(0).stats().prepares_handled, 2u);
+  ASSERT_TRUE(holder_status_.has_value());
+  EXPECT_TRUE(holder_status_->ok()) << holder_status_->ToString();
+  for (size_t shard = 0; shard < 3; ++shard) {
+    EXPECT_EQ(server(shard).lock_count(), 0u) << "shard " << shard;
+  }
+  EXPECT_EQ(ReadOnce(*cluster_, cluster_->AddClient(0), Oid(c_[0], 1)).value_or(""), "h");
+}
+
+// A coordinator's retransmitted prepare finds its first copy still parked
+// (lock_wait_timeout outlives the 2s resend timeout here, as it can when the
+// first copy sat long in a CPU queue). Shard 0 refuses the duplicate rather
+// than park a second waiter, so the transaction aborts; the parked copy later
+// times out and answers the call the coordinator already gave up on.
+TEST_F(EarlyReleaseLockWaitTest, RetransmittedPrepareRefusedWhileFirstCopyParked) {
+  ClusterOptions options = ShardedOptions(1, 3);
+  options.server.lock_wait_timeout = Seconds(3);
+  Start(options, /*votes_lost=*/2);
+  Tx tx(cluster_->AddClient(0));
+  tx.Write(Oid(c_[1], 1), "t");  // first write: shard 1 coordinates
+  tx.Write(Oid(c_[0], 1), "t");
+  EXPECT_EQ(CommitAndSettle(*cluster_, tx).code(), StatusCode::kAborted);
+
+  EXPECT_EQ(server(1).stats().prepare_retries, 1u);
+  EXPECT_EQ(server(1).stats().aborts_conflict, 1u);
+  EXPECT_EQ(server(1).lock_count(), 0u);
+  EXPECT_EQ(server(0).stats().lock_waits, 1u);
+  EXPECT_EQ(server(0).stats().lock_wait_timeouts, 1u);
+  EXPECT_EQ(server(0).lock_waiter_count(), 0u);
+  EXPECT_EQ(server(0).lock_count(), 1u);  // only the holder's
+}
+
+// Wound-wait at the coordinator's own vote. Both transactions are coordinated
+// by shard 0 and also write on shard 2; the first prepare each sends to shard 2
+// is lost, so each retransmits 2s after it started. The older one (`older`)
+// prepares shard 2 first and votes locally last; the younger one (`younger`)
+// votes locally first, so it holds `contended` on shard 0 while it waits for
+// shard 2. When the older one's local vote finds that lock, the holder is
+// younger and still collecting votes here: it is wounded, and its pending
+// shard-2 vote then drives its abort with reason kWound.
+TEST(EarlyReleaseWoundTest, OlderLocalVoteWoundsYoungerHolder) {
+  ClusterOptions options = ShardedOptions(1, 3);
+  options.server.prepare_attempts = 2;
+  Cluster cluster(options);
+  const ShardMap& map = cluster.shard_map();
+  // Site order is by each shard's smallest written oid: low0 < c2 < high0.
+  ContainerId low0 = ContainerOnShard(map, 0, 0);
+  ContainerId c2 = ContainerOnShard(map, 0, 2, low0 + 1);
+  ContainerId high0 = ContainerOnShard(map, 0, 0, c2 + 1);
+  SiteId s0 = map.ServerAt(0, 0);
+  SiteId s2 = map.ServerAt(0, 2);
+  int dropped = 0;
+  cluster.net().SetDropFilter([&](const Message& m, const Address& from, const Address& to) {
+    if (!m.is_response && m.type == kPrepare && from.site == s0 && to.site == s2 &&
+        dropped < 2) {
+      ++dropped;
+      return true;
+    }
+    return false;
+  });
+  ObjectId contended = Oid(high0, 1);
+
+  Tx older(cluster.AddClient(0));
+  older.Write(contended, "older");  // first write: shard 0 coordinates
+  older.Write(Oid(c2, 1), "older");
+  std::optional<Status> older_status;
+  older.Commit([&](Status s) { older_status = s; });
+  while (dropped < 1 && cluster.sim().Step()) {
+  }
+  cluster.RunFor(Millis(1));  // the younger one enters its slow commit later
+
+  Tx younger(cluster.AddClient(0));
+  younger.Write(Oid(low0, 1), "younger");
+  younger.Write(contended, "younger");
+  younger.Write(Oid(c2, 2), "younger");
+  std::optional<Status> younger_status;
+  younger.Commit([&](Status s) { younger_status = s; });
+  cluster.RunUntilIdle();
+
+  EXPECT_EQ(dropped, 2);
+  ASSERT_TRUE(older_status.has_value());
+  EXPECT_TRUE(older_status->ok()) << older_status->ToString();
+  ASSERT_TRUE(younger_status.has_value());
+  EXPECT_EQ(younger_status->code(), StatusCode::kAborted);
+  WalterServer& coordinator = cluster.server(s0);
+  EXPECT_EQ(coordinator.stats().lock_wounds, 1u);
+  EXPECT_EQ(coordinator.stats().aborts_wound, 1u);
+  for (SiteId v = 0; v < static_cast<SiteId>(cluster.num_servers()); ++v) {
+    EXPECT_EQ(cluster.server(v).lock_count(), 0u) << "server " << v;
+  }
+  WalterClient* reader = cluster.AddClient(0);
+  EXPECT_EQ(ReadOnce(cluster, reader, contended).value_or(""), "older");
+}
+
+// Clock-ordered commit at a 2PC participant: a watermark whose decided
+// version the prepare's snapshot already Sees is history, not a conflict, so
+// the participant votes yes and counts the bypass. The fast-commit side of
+// this relaxation is ClockCommitTest.SnapshotCoveredWatermarkBypass.
+TEST(EarlyReleaseClockTest, ParticipantBypassesSnapshotCoveredWatermark) {
+  ClusterOptions options = ShardedOptions(1, 2);
+  options.clock_commit = true;
+  Cluster cluster(options);
+  const ShardMap& map = cluster.shard_map();
+  ContainerId c0 = ContainerOnShard(map, 0, 0);
+  ContainerId c1 = ContainerOnShard(map, 0, 1);
+  SiteId s0 = map.ServerAt(0, 0);
+  WalterServer& participant = cluster.server(s0);
+  WalterClient* client = cluster.AddClient(0);
+
+  Tx first(client);
+  first.Write(Oid(c0, 1), "v1");
+  ASSERT_TRUE(CommitAndSettle(cluster, first).ok());
+
+  // Plant a watermark on the committed version: every fresh snapshot Sees it.
+  participant.store().AddVisibilityWatermark(
+      Oid(c0, 1), Version{s0, participant.committed_vts().at(s0)}, /*tid=*/777777);
+  Tx second(client);
+  second.Write(Oid(c1, 1), "v2");  // first write: shard 1 coordinates
+  second.Write(Oid(c0, 1), "v2");
+  Status s = CommitAndSettle(cluster, second);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(cluster.server(map.ServerAt(0, 1)).stats().slow_commits, 1u);
+  EXPECT_GE(participant.stats().clock_conflict_bypasses, 1u);
+
+  participant.store().DropWatermarksOfTx(777777);
+  cluster.RunUntilIdle();
+  EXPECT_EQ(participant.watermark_count(), 0u);
+  EXPECT_EQ(participant.lock_count(), 0u);
 }
 
 }  // namespace

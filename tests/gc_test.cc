@@ -371,55 +371,6 @@ TEST(GcTest, ReplacementSkipsRecordsTruncatedByCheckpoint) {
 }
 
 // ---------------------------------------------------------------------------
-// frontier_gossip mode: servers fold from floors piggybacked on propagation
-// acks; no coordinator exists, yet the frontier still advances everywhere.
-// ---------------------------------------------------------------------------
-
-TEST(GcTest, FrontierGossipModeFoldsWithoutCoordinator) {
-  ClusterOptions options;
-  options.num_sites = 2;
-  options.seed = 9;
-  options.server.perf = PerfModel::Instant();
-  options.server.disk = DiskConfig::Memory();
-  options.server.gossip_interval = Millis(100);
-  options.server.frontier_gossip = true;
-  Cluster cluster(options);
-  EXPECT_EQ(cluster.gc(), nullptr);  // the coordinator stands down
-
-  for (SiteId s = 0; s < 2; ++s) {
-    WalterClient* client = cluster.AddClient(s);
-    for (int k = 0; k < 10; ++k) {
-      auto tx = std::make_shared<Tx>(client);
-      tx->Write(ObjectId{s, static_cast<uint64_t>(k % 3)}, "g" + std::to_string(k));
-      tx->Commit([](Status s) { ASSERT_TRUE(s.ok()); });
-      cluster.RunFor(Millis(50));
-    }
-  }
-  cluster.RunFor(Seconds(5));
-
-  for (SiteId s = 0; s < 2; ++s) {
-    const VectorTimestamp& frontier = cluster.server(s).store().gc_frontier();
-    for (SiteId o = 0; o < 2; ++o) {
-      EXPECT_GT(frontier.at(o), 0u) << "site " << s << " frontier at origin " << o;
-    }
-    EXPECT_GT(cluster.server(s).stats().gc_folded_entries, 0u) << "site " << s;
-  }
-
-  // Reads still work against the folded state. (RunFor, not RunUntilIdle:
-  // gossip is on, so the simulator never goes idle.)
-  auto tx = std::make_shared<Tx>(cluster.AddClient(0));
-  std::optional<std::string> value;
-  tx->Read(ObjectId{1, 0}, [&](Status s, std::optional<std::string> v) {
-    ASSERT_TRUE(s.ok());
-    value = v;
-  });
-  cluster.RunFor(Seconds(1));
-  EXPECT_EQ(value, std::make_optional<std::string>("g9"));
-  tx->Abort();
-  cluster.RunFor(Seconds(1));
-}
-
-// ---------------------------------------------------------------------------
 // Bounded memory: sustained single-key churn stays flat with GC on.
 // ---------------------------------------------------------------------------
 
