@@ -101,7 +101,7 @@ ClusterOptions ChainOptions(bool clock_commit) {
   options.server.perf = PerfModel::Ec2();
   options.server.disk = DiskConfig::Ec2();
   options.server.min_batch_interval = Millis(250);
-  options.clock_commit = clock_commit;
+  options.server.clock_commit = clock_commit;
   return options;
 }
 

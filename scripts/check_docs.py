@@ -20,6 +20,11 @@ Fails (exit 1) when the docs disagree with the build:
      tests/ or perfbench/, or be declared as a CMake option/cache variable —
      a deleted environment override leaves a stale name that matches
      nothing.
+  7. Option-name drift: every backticked `ClusterOptions::x`,
+     `ClusterOptions::server.x` or `WalterServer::Options::x` in the docs
+     must name a field declared in ClusterOptions (src/core/cluster.h) or
+     WalterServer::Options (src/core/server.h) — a deleted or moved option
+     leaves a stale name that matches nothing.
 
 Usage: check_docs.py [repo_root]   (default: the script's parent directory)
 """
@@ -176,6 +181,44 @@ def check_env_knobs(root: Path, files, errors):
                 )
 
 
+def struct_fields(header: Path, opener: str) -> set:
+    """Data members declared directly in the struct that `opener` starts."""
+    text = re.sub(r"//[^\n]*", "", header.read_text(encoding="utf-8"))
+    start = text.index(opener) + len(opener)
+    fields, depth, stmt = set(), 0, ""
+    for ch in text[start:]:
+        if depth == 0 and ch == "}":
+            break
+        if ch == "{":
+            depth += 1
+        elif ch == "}":
+            depth -= 1
+        elif depth == 0 and ch == ";":
+            decl = re.split(r"=|\{", stmt)[0].strip()
+            if decl and "(" not in decl and not re.match(r"(struct|class|enum|using)\b", decl):
+                fields.add(re.findall(r"\w+", decl)[-1])
+            stmt = ""
+            continue
+        if depth == 0:
+            stmt += ch
+    return fields
+
+
+OPTION_REF = re.compile(r"(ClusterOptions::(?:server\.)?|WalterServer::Options::)(\w+)")
+
+
+def check_option_names(root: Path, files, errors):
+    cluster = struct_fields(root / "src" / "core" / "cluster.h", "struct ClusterOptions {")
+    server = struct_fields(root / "src" / "core" / "server.h", "struct Options {")
+    for md in files:
+        for span in re.findall(r"`([^`\n]+)`", md.read_text(encoding="utf-8")):
+            for prefix, name in OPTION_REF.findall(span):
+                fields = cluster if prefix == "ClusterOptions::" else server
+                if name not in fields:
+                    errors.append(f"{md}: names '{prefix}{name}', which is not a field of "
+                                  f"{prefix.rstrip(':.')}")
+
+
 def main() -> int:
     root = Path(sys.argv[1]).resolve() if len(sys.argv) > 1 else Path(__file__).resolve().parent.parent
     files = markdown_files(root)
@@ -188,6 +231,7 @@ def main() -> int:
     check_ctest_labels(root, files, errors)
     check_trace_kinds(root, errors)
     check_env_knobs(root, files, errors)
+    check_option_names(root, files, errors)
     if errors:
         print(f"check_docs: {len(errors)} problem(s):", file=sys.stderr)
         for e in errors:

@@ -25,9 +25,6 @@ class LatencyRecorder {
     sorted_ = false;
   }
 
-  // Pre-sizes the sample buffer (e.g. for an expected op count).
-  void Reserve(size_t n) { samples_.reserve(n); }
-
   size_t count() const { return samples_.size(); }
   bool empty() const { return samples_.empty(); }
 

@@ -33,13 +33,6 @@ using LocalId = uint64_t;
 // Globally unique transaction id.
 using TxId = uint64_t;
 
-// The two object types Walter stores (Section 4.1): regular byte-sequence
-// objects and counting-set (cset) objects.
-enum class ObjectType : uint8_t {
-  kRegular = 0,
-  kCset = 1,
-};
-
 // Per-transaction consistency level (docs/CONSISTENCY.md). kPsi is the
 // paper's protocol and the default; the other two are opt-in per transaction:
 //  - kNmsi weakens PSI by dropping the cross-shard/cross-site visibility

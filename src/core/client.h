@@ -224,12 +224,6 @@ class Tx {
   // dead Tx.
   std::weak_ptr<char> AliveToken() const { return alive_; }
 
-  // The server node this transaction's ops are pinned to once it has written:
-  // the shard owning the first written container at the client's site. The
-  // server-side update buffer lives there, so later updates, reads (which must
-  // see the buffer) and the commit all go there too. kNoSite until the first
-  // write; read-only transactions route each read by its container instead.
-  SiteId CommitServer() const { return commit_server_; }
   SiteId ReadTarget(ContainerId c) const {
     return commit_server_ != kNoSite ? commit_server_ : client_->RouteFor(c);
   }
@@ -239,6 +233,11 @@ class Tx {
   VectorTimestamp vts_;  // snapshot, once known
   ConsistencyMode mode_ = ConsistencyMode::kPsi;
   std::vector<ObjectId> read_set_;  // serializable mode only
+  // The server node this transaction's ops are pinned to once it has written:
+  // the shard owning the first written container at the client's site. The
+  // server-side update buffer lives there, so later updates, reads (which must
+  // see the buffer) and the commit all go there too. kNoSite until the first
+  // write; read-only transactions route each read by its container instead.
   SiteId commit_server_ = kNoSite;
   std::optional<ClientOpRequest> buffered_;
   size_t update_rpcs_sent_ = 0;

@@ -51,19 +51,6 @@ Cluster::Cluster(ClusterOptions options)
   // propagation, durability-quorum and recovery machinery are unchanged —
   // cross-shard transactions inside one site simply become slow commits whose
   // participants happen to be a LAN hop apart.
-  options_.server.clock_commit = options_.clock_commit;
-  if (options_.clock_commit) {
-    // The hold budget must cover the worst prepare one-way delay in this
-    // deployment, or far participants constantly fall back to classic votes.
-    SimDuration max_owd = 0;
-    const Topology& t = net_->topology();
-    for (SiteId a = 0; a < static_cast<SiteId>(t.num_sites()); ++a) {
-      max_owd = std::max(max_owd, t.MaxRttFrom(a) / 2);
-    }
-    if (max_owd > 0) {
-      options_.server.clock_max_owd = max_owd;
-    }
-  }
   for (SiteId v = 0; v < static_cast<SiteId>(shard_map_.num_servers()); ++v) {
     WalterServer::Options so = options_.server;
     so.site = v;

@@ -31,15 +31,6 @@ struct ClusterOptions {
   // map, and clients routing per-container. Must be empty or num_sites long.
   std::vector<size_t> servers_per_site;
   uint64_t seed = 1;
-  // Clock-ordered slow commit (docs/CONSISTENCY.md, docs/PROTOCOL.md): the
-  // coordinator stamps cross-site prepares with a future commit timestamp and
-  // participants hold their vote until their local ClockModel passes it,
-  // ordering conflicting WAN commits by (commit_ts, coordinator, tid) instead
-  // of abort/retry. Default off.
-  // Per-site clock behavior (skew bound, drift, seed) comes from
-  // server.clock; server.clock_max_owd is derived from the topology's worst
-  // one-way delay unless set explicitly.
-  bool clock_commit = false;
   // Per-server options; site/num_sites are filled in per server.
   WalterServer::Options server;
   // Default RPC robustness options for clients created via AddClient.

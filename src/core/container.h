@@ -54,10 +54,8 @@ class ContainerDirectory {
 
   // Threaded runtime contract: the directory is shared by co-located shards
   // and read lock-free from their executors, so it must not change while
-  // worker threads run. Cluster freezes it at StartThreads; control-plane
-  // mutations (recovery remaps) require quiescing the runtime first.
+  // worker threads run. Cluster freezes it at StartThreads.
   void Freeze() { frozen_ = true; }
-  void Thaw() { frozen_ = false; }
 
   // Shard-aware mode: container metadata (and the config service protocol)
   // stays in logical site ids; Get() translates the resolved info into server

@@ -23,6 +23,34 @@ std::unique_ptr<WalDevice> MakeWalDevice(const WalterServer::Options& options) {
   return std::make_unique<FileWalDevice>(options.wal_dir);
 }
 
+// Safety margin on top of the worst one-way delay and the skew bound, so an
+// on-time clock-stamped prepare still arrives before the participant's clock
+// passes its commit_ts.
+constexpr SimDuration kClockSlack = Millis(1);
+
+// Worst one-way delay between any two sites (half the largest RTT), or 100ms
+// for a topology with no RTTs. The clock-ordered commit's hold budget must
+// cover it, or far participants constantly fall back to classic votes.
+SimDuration MaxOneWayDelay(const Topology& t) {
+  SimDuration max_owd = 0;
+  for (SiteId a = 0; a < static_cast<SiteId>(t.num_sites()); ++a) {
+    max_owd = std::max(max_owd, t.MaxRttFrom(a) / 2);
+  }
+  return max_owd > 0 ? max_owd : Millis(100);
+}
+
+// Chains a retransmission's reply onto the live one in `slot`: when the
+// outcome arrives, both answer with it.
+void ChainReply(std::function<void(ClientOpResponse)>& slot,
+                std::function<void(ClientOpResponse)> respond) {
+  slot = [prev = std::move(slot), r = std::move(respond)](ClientOpResponse resp) {
+    if (prev) {
+      prev(resp);
+    }
+    r(std::move(resp));
+  };
+}
+
 // Deduplicated regular-object write set of an update buffer (the write-set of
 // Figure 11 excludes cset updates).
 std::vector<ObjectId> WriteSetOf(const std::vector<ObjectUpdate>& updates) {
@@ -48,8 +76,9 @@ WalterServer::WalterServer(Simulator* sim, Network* net, Options options,
       endpoint_(net, Address{options.site, kWalterPort}, sim),
       cpu_(sim, options.perf.cpu_capacity, "cpu@" + std::to_string(options.site)),
       disk_(sim, options.disk),
-      store_(options.cache_bytes, MakeWalDevice(options)),
+      store_(MakeWalDevice(options)),
       clock_(options.site, options.clock),
+      clock_max_owd_(MaxOneWayDelay(net->topology())),
       committed_vts_(options.num_sites),
       got_vts_(options.num_sites),
       durable_applied_(options.num_sites),
@@ -132,8 +161,7 @@ void WalterServer::HandleClientOp(const Message& msg, RpcEndpoint::ReplyFn reply
   ClientOpRequest req = ClientOpRequest::Deserialize(msg.payload);
   WTRACE(sim_->Now(), TraceKind::kServerRecv, req.tid, options_.site, 0,
          static_cast<uint32_t>(req.op));
-  std::function<void(ClientOpResponse)> respond = [reply = std::move(reply)](
-                                                      ClientOpResponse resp) {
+  RespondFn respond = [reply = std::move(reply)](ClientOpResponse resp) {
     Message m;
     m.payload = resp.Serialize();
     reply(std::move(m));
@@ -147,8 +175,7 @@ void WalterServer::HandleClientOp(const Message& msg, RpcEndpoint::ReplyFn reply
                });
 }
 
-bool WalterServer::AdmitClientOp(const ClientOpRequest& req,
-                                 std::function<void(ClientOpResponse)>& respond) {
+bool WalterServer::AdmitClientOp(const ClientOpRequest& req, RespondFn& respond) {
   const bool enabled = options_.admission_max_queue > 0 || options_.admission_max_inflight > 0;
   if (!enabled) {
     return true;
@@ -218,8 +245,7 @@ bool WalterServer::IsAdmittedRetransmission(const ClientOpRequest& req) const {
   return false;
 }
 
-void WalterServer::ProcessClientOp(const ClientOpRequest& req,
-                                   std::function<void(ClientOpResponse)> respond) {
+void WalterServer::ProcessClientOp(const ClientOpRequest& req, RespondFn respond) {
   if (req.abort) {
     active_.erase(req.tid);
     ReleaseLocks(req.tid);
@@ -270,12 +296,6 @@ void WalterServer::ProcessClientOp(const ClientOpRequest& req,
     if (tx.start_vts.num_sites() == 0) {
       tx.start_vts = vts;
     }
-    if (tx.committing) {
-      ClientOpResponse resp;
-      resp.status = StatusCode::kFailedPrecondition;
-      respond(std::move(resp));
-      return;
-    }
     if (req.op_seq != 0 && req.op_seq <= tx.max_op_seq) {
       // Retransmission of a buffering op whose response (not request) was
       // lost: the update is already buffered, just re-acknowledge.
@@ -299,14 +319,7 @@ void WalterServer::ProcessClientOp(const ClientOpRequest& req,
         // per retransmission — the starvation metric and the watchdog verdict
         // would disagree about how many reads actually starved.
         ++stats_.read_park_dedups;
-        auto prev = std::move(pr->second);
-        pr->second = [prev = std::move(prev),
-                      r = std::move(respond)](ClientOpResponse resp) {
-          if (prev) {
-            prev(resp);
-          }
-          r(std::move(resp));
-        };
+        ChainReply(pr->second, std::move(respond));
         return;
       }
     }
@@ -329,8 +342,9 @@ void WalterServer::ProcessClientOp(const ClientOpRequest& req,
     }
     tx.mode = req.mode;
     tx.read_oids = req.read_oids;  // serializable mode; empty otherwise
-    DoCommit(req.tid, std::move(tx), req.want_durable, req.want_visible, req.reply_port,
-             req.reply_site, std::move(respond));
+    DoCommit(req.tid, std::move(tx),
+             CommitReply{req.want_durable, req.want_visible, req.reply_port, req.reply_site,
+                         std::move(respond)});
     return;
   }
 
@@ -359,10 +373,9 @@ std::optional<SimDuration> WalterServer::ReadParkDelay(uint32_t park_attempt) co
 }
 
 void WalterServer::ParkRead(const ClientOpRequest& req, const VectorTimestamp& vts,
-                            std::function<void(ClientOpResponse)> respond,
-                            uint32_t park_attempt, SimDuration delay) {
+                            RespondFn respond, uint32_t park_attempt, SimDuration delay) {
   const std::pair<TxId, uint64_t> key{req.tid, req.op_seq};
-  std::function<void(ClientOpResponse)> captured;
+  RespondFn captured;
   if (req.op_seq != 0) {
     // Fresh park or re-park: (re)install the reply closure so a retransmission
     // arriving during the wait chains onto this park (see ProcessClientOp)
@@ -375,7 +388,7 @@ void WalterServer::ParkRead(const ClientOpRequest& req, const VectorTimestamp& v
   }
   sim_->After(delay, Guard([this, req, vts, park_attempt, key,
                             captured = std::move(captured)]() mutable {
-    std::function<void(ClientOpResponse)> respond = std::move(captured);
+    RespondFn respond = std::move(captured);
     if (req.op_seq != 0) {
       auto it = parked_reads_.find(key);
       if (it == parked_reads_.end()) {
@@ -391,8 +404,7 @@ void WalterServer::ParkRead(const ClientOpRequest& req, const VectorTimestamp& v
 }
 
 void WalterServer::DoRead(const ClientOpRequest& req, const VectorTimestamp& vts,
-                          const ActiveTx* tx, std::function<void(ClientOpResponse)> respond,
-                          uint32_t park_attempt) {
+                          const ActiveTx* tx, RespondFn respond, uint32_t park_attempt) {
   ClientOpResponse resp;
   resp.assigned_vts = vts;
 
@@ -508,7 +520,6 @@ void WalterServer::DoRead(const ClientOpRequest& req, const VectorTimestamp& vts
         respond(std::move(resp));
         return;
       }
-      store_.TouchCache(req.oid, ObjectType::kRegular, 128);
       if (replicated) {
         if (auto v = store_.ReadRegular(req.oid, vts)) {
           resp.found = true;
@@ -564,7 +575,6 @@ void WalterServer::DoRead(const ClientOpRequest& req, const VectorTimestamp& vts
     }
     case ClientOpKind::kSetRead:
     case ClientOpKind::kSetReadId: {
-      store_.TouchCache(req.oid, ObjectType::kCset, 256);
       if (replicated) {
         CountingSet set = store_.ReadCset(req.oid, vts);
         overlay_cset_ops(req.oid, &set);
@@ -603,8 +613,9 @@ void WalterServer::DoRead(const ClientOpRequest& req, const VectorTimestamp& vts
             }
             RemoteReadResponse remote = RemoteReadResponse::Deserialize(m.payload);
             if (!remote.found) {
-              // The preferred site refused the snapshot (below its GC frontier
-              // in frontier-gossip mode, where sites fold independently).
+              // The preferred site refused the snapshot: a client-carried
+              // snapshot that outlived its pin fell below that site's GC
+              // frontier, or the read starved behind a watermark there.
               resp.status = StatusCode::kUnavailable;
               respond(std::move(resp));
               return;
@@ -641,7 +652,6 @@ void WalterServer::DoRead(const ClientOpRequest& req, const VectorTimestamp& vts
           resp.values.push_back(std::move(own));
           continue;
         }
-        store_.TouchCache(oid, ObjectType::kRegular, 128);
         resp.values.push_back(store_.ReadRegular(oid, vts));
       }
       respond(std::move(resp));
@@ -658,20 +668,12 @@ void WalterServer::DoRead(const ClientOpRequest& req, const VectorTimestamp& vts
 // Commit (Figures 11 and 12)
 // ---------------------------------------------------------------------------
 
-bool WalterServer::DedupRetransmittedCommit(const ClientOpRequest& req,
-                                            std::function<void(ClientOpResponse)>& respond) {
+bool WalterServer::DedupRetransmittedCommit(const ClientOpRequest& req, RespondFn& respond) {
   auto sc = slow_commits_.find(req.tid);
   if (sc != slow_commits_.end()) {
     // 2PC still deciding: attach this reply to whatever the outcome is.
     ++stats_.commit_dedups;
-    auto prev = std::move(sc->second->reply);
-    sc->second->reply = [prev = std::move(prev),
-                         r = std::move(respond)](ClientOpResponse resp) {
-      if (prev) {
-        prev(resp);
-      }
-      r(std::move(resp));
-    };
+    ChainReply(sc->second->reply.respond, std::move(respond));
     return true;
   }
   auto pk = parked_commits_.find(req.tid);
@@ -679,53 +681,31 @@ bool WalterServer::DedupRetransmittedCommit(const ClientOpRequest& req,
     // Parked on a held lock (early lock release): chain onto the eventual
     // outcome like an in-flight 2PC.
     ++stats_.commit_dedups;
-    auto prev = std::move(pk->second.respond);
-    pk->second.respond = [prev = std::move(prev),
-                          r = std::move(respond)](ClientOpResponse resp) {
-      if (prev) {
-        prev(resp);
-      }
-      r(std::move(resp));
-    };
+    ChainReply(pk->second.reply.respond, std::move(respond));
     return true;
   }
   auto gp = gap_commit_waiters_.find(req.tid);
   if (gp != gap_commit_waiters_.end()) {
-    // Parked on a sibling-shard snapshot gap: same chaining. Before this
-    // registry existed the parked transaction was findable nowhere (it rides
-    // the retry timer by value), so a retransmission fell through to the
-    // lost-state guard below and was refused while the original could still
-    // commit — and a retransmission piggybacking an update would re-buffer
-    // and commit the transaction a second time.
+    // Parked on a sibling-shard snapshot gap: same chaining. Without the
+    // registry a retransmission would fall through to the lost-state guard
+    // below and be refused while the original could still commit — and a
+    // retransmission piggybacking an update would re-buffer and commit the
+    // transaction a second time.
     ++stats_.commit_dedups;
-    auto prev = std::move(gp->second);
-    gp->second = [prev = std::move(prev), r = std::move(respond)](ClientOpResponse resp) {
-      if (prev) {
-        prev(resp);
-      }
-      r(std::move(resp));
-    };
+    ChainReply(gp->second.reply.respond, std::move(respond));
     return true;
   }
   auto cv = committed_versions_.find(req.tid);
   if (cv != committed_versions_.end()) {
     ++stats_.commit_dedups;
-    auto ct = committed_tids_.find(req.tid);
-    if (ct != committed_tids_.end()) {
-      auto lc = local_commits_.find(ct->second);
-      if (lc != local_commits_.end() && !lc->second.committed) {
-        // The original commit is still group-commit flushing: reply when the
-        // original reply fires.
-        auto prev = std::move(lc->second.respond);
-        lc->second.respond = [prev = std::move(prev),
-                              r = std::move(respond)](ClientOpResponse resp) {
-          if (prev) {
-            prev(resp);
-          }
-          r(std::move(resp));
-        };
-        return true;
-      }
+    // The tid check matters: seqnos are reused after TruncateOwnLog.
+    auto lc = local_commits_.find(cv->second.seqno);
+    if (lc != local_commits_.end() && lc->second.record.tid == req.tid &&
+        !lc->second.committed) {
+      // The original commit is still group-commit flushing: reply when the
+      // original reply fires.
+      ChainReply(lc->second.reply.respond, std::move(respond));
+      return true;
     }
     ClientOpResponse resp;
     resp.commit_version = cv->second;
@@ -753,9 +733,7 @@ bool WalterServer::DedupRetransmittedCommit(const ClientOpRequest& req,
   return false;
 }
 
-void WalterServer::DoCommit(TxId tid, ActiveTx tx, bool want_durable, bool want_visible,
-                            uint32_t reply_port, SiteId reply_site,
-                            std::function<void(ClientOpResponse)> respond, uint32_t park_attempt) {
+void WalterServer::DoCommit(TxId tid, ActiveTx tx, CommitReply reply, uint32_t park_attempt) {
   if (park_attempt == 0) {
     WTRACE(sim_->Now(), TraceKind::kCommitStart, tid, options_.site);
   }
@@ -765,7 +743,7 @@ void WalterServer::DoCommit(TxId tid, ActiveTx tx, bool want_durable, bool want_
     // Read-only transaction: nothing to commit.
     ClientOpResponse resp;
     resp.assigned_vts = tx.start_vts;
-    respond(std::move(resp));
+    reply.respond(std::move(resp));
     return;
   }
 
@@ -782,22 +760,18 @@ void WalterServer::DoCommit(TxId tid, ActiveTx tx, bool want_durable, bool want_
     if (auto delay = ReadParkDelay(park_attempt)) {
       ++stats_.commit_gap_parks;
       WTRACE(sim_->Now(), TraceKind::kCommitGapWait, tid, options_.site, park_attempt);
-      // The buffered transaction rides the timer; the reply closure goes into
-      // the waiter registry so a retransmitted commit (the park outlived the
-      // client's RPC timeout) chains onto this park via
-      // DedupRetransmittedCommit instead of being refused as lost state — or
-      // worse, re-buffered and committed a second time.
-      gap_commit_waiters_[tid] = std::move(respond);
-      sim_->After(*delay, Guard([this, tid, tx = std::move(tx), want_durable, want_visible,
-                                 reply_port, reply_site, park_attempt]() mutable {
-        auto it = gap_commit_waiters_.find(tid);
-        if (it == gap_commit_waiters_.end()) {
+      // The parked commit goes into the waiter registry so a retransmitted
+      // commit (the park outlived the client's RPC timeout) chains onto this
+      // park via DedupRetransmittedCommit instead of being refused as lost
+      // state — or worse, re-buffered and committed a second time.
+      gap_commit_waiters_[tid] = ParkedCommit{std::move(tx), std::move(reply)};
+      sim_->After(*delay, Guard([this, tid, park_attempt]() {
+        auto node = gap_commit_waiters_.extract(tid);
+        if (node.empty()) {
           return;  // already resolved out from under the timer
         }
-        auto respond = std::move(it->second);
-        gap_commit_waiters_.erase(it);
-        DoCommit(tid, std::move(tx), want_durable, want_visible, reply_port, reply_site,
-                 std::move(respond), park_attempt + 1);
+        ParkedCommit& pc = node.mapped();
+        DoCommit(tid, std::move(pc.tx), std::move(pc.reply), park_attempt + 1);
       }));
     } else {
       ++stats_.commits_starved;
@@ -811,7 +785,7 @@ void WalterServer::DoCommit(TxId tid, ActiveTx tx, bool want_durable, bool want_
       WTRACE(sim_->Now(), TraceKind::kCommitStarved, tid, options_.site, park_attempt);
       ClientOpResponse resp;
       resp.status = StatusCode::kUnavailable;
-      respond(std::move(resp));
+      reply.respond(std::move(resp));
     }
     return;
   }
@@ -854,19 +828,15 @@ void WalterServer::DoCommit(TxId tid, ActiveTx tx, bool want_durable, bool want_
   bool all_local = sites.empty() || (sites.size() == 1 && sites[0] == options_.site);
   if (all_local) {
     WTRACE(sim_->Now(), TraceKind::kFastPath, tid, options_.site);
-    FastCommit(tid, std::move(tx), want_durable, want_visible, reply_port, reply_site,
-               std::move(respond));
+    FastCommit(tid, std::move(tx), std::move(reply));
   } else {
     WTRACE(sim_->Now(), TraceKind::kSlowPath, tid, options_.site, 0,
            static_cast<uint32_t>(sites.size()));
-    SlowCommit(tid, std::move(tx), want_durable, want_visible, reply_port, reply_site,
-               std::move(respond));
+    SlowCommit(tid, std::move(tx), std::move(reply));
   }
 }
 
-void WalterServer::FastCommit(TxId tid, ActiveTx tx, bool want_durable, bool want_visible,
-                              uint32_t reply_port, SiteId reply_site,
-                              std::function<void(ClientOpResponse)> respond, SimTime deadline) {
+void WalterServer::FastCommit(TxId tid, ActiveTx tx, CommitReply reply, SimTime deadline) {
   // Conflict checks of Figure 11: every written object unmodified since the
   // snapshot and unlocked. This whole function is one event — atomic. A held
   // lock is a wait (the holder may abort), while a modified object or a
@@ -889,7 +859,7 @@ void WalterServer::FastCommit(TxId tid, ActiveTx tx, bool want_durable, bool wan
              static_cast<uint64_t>(StatusCode::kUnavailable));
       ClientOpResponse resp;
       resp.status = StatusCode::kUnavailable;
-      respond(std::move(resp));
+      reply.respond(std::move(resp));
       return;
     }
     bool wm_blocks = store_.WatermarkBlocksWrite(oid);
@@ -910,19 +880,10 @@ void WalterServer::FastCommit(TxId tid, ActiveTx tx, bool want_durable, bool wan
       }
       continue;
     }
-    ++stats_.aborts;
-    ++stats_.aborts_conflict;
     if (std::binary_search(tx.read_oids.begin(), tx.read_oids.end(), oid)) {
       ++stats_.aborts_ser_validation;
     }
-    aborted_tids_.insert(tid);
-    RecordOutcome(tid);
-    WTRACE(sim_->Now(), TraceKind::kTxAbort, tid, options_.site,
-           static_cast<uint64_t>(StatusCode::kAborted),
-           static_cast<uint32_t>(AbortReason::kConflict));
-    ClientOpResponse resp;
-    resp.status = StatusCode::kAborted;
-    respond(std::move(resp));
+    AbortCommit(tid, AbortReason::kConflict, reply.respond);
     return;
   }
   if (blocker != 0) {
@@ -934,47 +895,50 @@ void WalterServer::FastCommit(TxId tid, ActiveTx tx, bool want_durable, bool wan
     }
     ++stats_.lock_waits;
     WTRACE(sim_->Now(), TraceKind::kLockWait, tid, options_.site, blocker);
-    ParkedCommit pc;
-    pc.tx = std::move(tx);
-    pc.want_durable = want_durable;
-    pc.want_visible = want_visible;
-    pc.reply_port = reply_port;
-    pc.reply_site = reply_site;
-    pc.respond = std::move(respond);
-    parked_commits_[tid] = std::move(pc);
+    parked_commits_[tid] = ParkedCommit{std::move(tx), std::move(reply)};
     uint64_t priority = static_cast<uint64_t>(deadline - options_.lock_wait_timeout) + 1;
     ParkLockWaiter(tid, priority, std::move(ws), deadline, [this, tid, deadline](bool timed_out) {
       auto node = parked_commits_.extract(tid);
       if (node.empty()) {
         return;
       }
-      ParkedCommit pc = std::move(node.mapped());
+      ParkedCommit& pc = node.mapped();
       if (timed_out) {
         ++stats_.lock_wait_timeouts;
-        ++stats_.aborts;
-        ++stats_.aborts_timeout;
-        aborted_tids_.insert(tid);
-        RecordOutcome(tid);
-        WTRACE(sim_->Now(), TraceKind::kTxAbort, tid, options_.site,
-               static_cast<uint64_t>(StatusCode::kAborted),
-               static_cast<uint32_t>(AbortReason::kTimeout));
-        ClientOpResponse resp;
-        resp.status = StatusCode::kAborted;
-        pc.respond(std::move(resp));
+        AbortCommit(tid, AbortReason::kTimeout, pc.reply.respond);
         return;
       }
-      FastCommit(tid, std::move(pc.tx), pc.want_durable, pc.want_visible, pc.reply_port,
-                 pc.reply_site, std::move(pc.respond), deadline);
+      FastCommit(tid, std::move(pc.tx), std::move(pc.reply), deadline);
     });
     return;
   }
   ++stats_.fast_commits;
-  CommitLocally(tid, tx, want_durable, want_visible, reply_port, reply_site, std::move(respond));
+  CommitLocally(tid, tx, std::move(reply));
 }
 
-void WalterServer::CommitLocally(TxId tid, const ActiveTx& tx, bool want_durable,
-                                 bool want_visible, uint32_t reply_port, SiteId reply_site,
-                                 std::function<void(ClientOpResponse)> respond) {
+void WalterServer::AbortCommit(TxId tid, AbortReason reason, const RespondFn& respond) {
+  ++stats_.aborts;
+  switch (reason) {
+    case AbortReason::kWound:
+      ++stats_.aborts_wound;
+      break;
+    case AbortReason::kTimeout:
+      ++stats_.aborts_timeout;
+      break;
+    default:
+      ++stats_.aborts_conflict;
+      break;
+  }
+  aborted_tids_.insert(tid);
+  RecordOutcome(tid);
+  WTRACE(sim_->Now(), TraceKind::kTxAbort, tid, options_.site,
+         static_cast<uint64_t>(StatusCode::kAborted), static_cast<uint32_t>(reason));
+  ClientOpResponse resp;
+  resp.status = StatusCode::kAborted;
+  respond(std::move(resp));
+}
+
+void WalterServer::CommitLocally(TxId tid, const ActiveTx& tx, CommitReply reply) {
   uint64_t seqno = ++curr_seqno_;
   TxRecord rec;
   rec.tid = tid;
@@ -982,38 +946,36 @@ void WalterServer::CommitLocally(TxId tid, const ActiveTx& tx, bool want_durable
   rec.version = Version{options_.site, seqno};
   rec.start_vts = tx.start_vts;
   rec.updates = tx.updates;
-  store_.Apply(rec);
   committed_versions_[tid] = rec.version;
   RecordOutcome(tid);
   WTRACE(sim_->Now(), TraceKind::kCommitApply, tid, options_.site, seqno);
+  if (!AppendRecord(rec)) {
+    // The fuzzer killed us at this append boundary: the client is never acked
+    // and the durable image does not contain the record.
+    return;
+  }
+  local_commits_.emplace(seqno, LocalCommit{std::move(rec), false, false, std::move(reply)});
+  FlushWal([this, seqno]() { OnLocalFlushed(seqno); });
+}
+
+bool WalterServer::AppendRecord(const TxRecord& record) {
+  store_.Apply(record);
   if (storage_hook_) {
     storage_hook_(StorageEvent::kWalAppend, store_.wal().base() + store_.wal().size());
-    if (crashed_) {
-      // The fuzzer killed us at this append boundary: the record is framed but
-      // never flushed, so the client is never acked and the durable image does
-      // not contain it.
-      return;
-    }
+    return !crashed_;
   }
+  return true;
+}
 
-  LocalCommit lc;
-  lc.record = std::move(rec);
-  lc.want_durable = want_durable;
-  lc.want_visible = want_visible;
-  lc.reply_port = reply_port;
-  lc.reply_site = reply_site == kNoSite ? options_.site : reply_site;
-  lc.respond = std::move(respond);
-  local_commits_.emplace(seqno, std::move(lc));
-  committed_tids_[tid] = seqno;
-
+void WalterServer::FlushWal(std::function<void()> on_durable) {
   size_t wal_frontier = store_.wal().base() + store_.wal().size();
-  disk_.Flush([this, seqno, wal_frontier]() {
+  disk_.Flush([this, wal_frontier, on_durable = std::move(on_durable)]() {
     if (crashed_) {
       return;  // the machine died with the flush in flight: bytes not durable
     }
     store_.wal().Sync();  // fsync on a file-backed WAL; no-op otherwise
     durable_wal_bytes_ = std::max(durable_wal_bytes_, wal_frontier);
-    OnLocalFlushed(seqno);
+    on_durable();
   });
 }
 
@@ -1042,14 +1004,14 @@ void WalterServer::AdvanceLocalCommits() {
     durable_applied_.set(options_.site, committed_vts_.at(options_.site));
     ReleaseLocks(lc.record.tid);
     WTRACE(sim_->Now(), TraceKind::kCommitLocal, lc.record.tid, options_.site, next);
-    if (lc.respond) {
+    if (lc.reply.respond) {
       ClientOpResponse resp;
       resp.assigned_vts = lc.record.start_vts;
       resp.commit_version = lc.record.version;
       WTRACE(sim_->Now(), TraceKind::kCommitAck, lc.record.tid, options_.site,
              lc.record.version.seqno);
-      lc.respond(std::move(resp));
-      lc.respond = nullptr;
+      lc.reply.respond(std::move(resp));
+      lc.reply.respond = nullptr;
     }
     if (observer_) {
       observer_(options_.site, lc.record);
@@ -1063,18 +1025,12 @@ void WalterServer::AdvanceLocalCommits() {
   }
 }
 
-void WalterServer::SlowCommit(TxId tid, ActiveTx tx, bool want_durable, bool want_visible,
-                              uint32_t reply_port, SiteId reply_site,
-                              std::function<void(ClientOpResponse)> respond) {
+void WalterServer::SlowCommit(TxId tid, ActiveTx tx, CommitReply reply) {
   ++stats_.slow_commits;
   auto state = std::make_shared<SlowCommitState>();
   state->tid = tid;
   state->tx = std::move(tx);
-  state->reply = std::move(respond);
-  state->want_durable = want_durable;
-  state->want_visible = want_visible;
-  state->reply_port = reply_port;
-  state->reply_site = reply_site;
+  state->reply = std::move(reply);
   slow_commits_[tid] = state;
 
   // Wound-wait age: commit entry time + 1 (fast-commit waiters use the same
@@ -1140,8 +1096,8 @@ void WalterServer::SlowCommit(TxId tid, ActiveTx tx, bool want_durable, bool wan
     // clock passes it and release holds in (commit_ts, coordinator, tid)
     // order, which serializes conflicting WAN commits without abort/retry
     // cycles.
-    state->commit_ts = clock_.LocalNow(sim_->Now()) + options_.clock_max_owd +
-                       2 * clock_.skew_bound() + options_.clock_slack;
+    state->commit_ts =
+        clock_.LocalNow(sim_->Now()) + clock_max_owd_ + 2 * clock_.skew_bound() + kClockSlack;
     ++stats_.clock_commits;
   }
   for (const auto& [s, oids] : by_site) {
@@ -1296,32 +1252,12 @@ void WalterServer::FinishSlowCommit(std::shared_ptr<SlowCommitState> state) {
       endpoint_.Send(Address{s, kWalterPort}, kAbort2pc, abort.Serialize());
     }
     ReleaseLocks(state->tid);
-    ++stats_.aborts;
-    switch (state->abort_reason) {
-      case AbortReason::kWound:
-        ++stats_.aborts_wound;
-        break;
-      case AbortReason::kTimeout:
-        ++stats_.aborts_timeout;
-        break;
-      default:
-        ++stats_.aborts_conflict;
-        break;
-    }
-    aborted_tids_.insert(state->tid);
-    RecordOutcome(state->tid);
-    WTRACE(sim_->Now(), TraceKind::kTxAbort, state->tid, options_.site,
-           static_cast<uint64_t>(StatusCode::kAborted),
-           static_cast<uint32_t>(state->abort_reason));
-    ClientOpResponse resp;
-    resp.status = StatusCode::kAborted;
-    state->reply(std::move(resp));
+    AbortCommit(state->tid, state->abort_reason, state->reply.respond);
     return;
   }
   // All preferred sites hold locks for us: commit exactly as in fast commit,
   // then release every prepare lock at the decision.
-  CommitLocally(state->tid, state->tx, state->want_durable, state->want_visible,
-                state->reply_port, state->reply_site, std::move(state->reply));
+  CommitLocally(state->tid, state->tx, std::move(state->reply));
   if (!crashed_) {
     // The decision is made and logged (CommitLocally framed the record): tell
     // the participants so they release their prepare locks NOW and cover the
@@ -1920,27 +1856,17 @@ void WalterServer::ApplyRemoteReady(SiteId origin) {
     std::erase_if(filtered.updates, [this](const ObjectUpdate& u) {
       return !directory_->ReplicatedAt(u.oid, options_.site);
     });
-    store_.Apply(filtered);
-    if (storage_hook_) {
-      storage_hook_(StorageEvent::kWalAppend, store_.wal().base() + store_.wal().size());
-      if (crashed_) {
-        return;  // killed at this append boundary; the rest of the batch is lost
-      }
+    if (!AppendRecord(filtered)) {
+      return;  // killed at this append boundary; the rest of the batch is lost
     }
-    size_t wal_frontier = store_.wal().base() + store_.wal().size();
-    disk_.Flush([this, wal_frontier, origin, seqno = rec.version.seqno]() {
-      if (crashed_) {
-        return;  // the machine died with the flush in flight: bytes not durable
-      }
-      store_.wal().Sync();
-      durable_wal_bytes_ = std::max(durable_wal_bytes_, wal_frontier);
+    FlushWal([this, origin, seqno = rec.version.seqno]() {
       if (seqno > durable_applied_.at(origin)) {
         durable_applied_.set(origin, seqno);
       }
     });
     got_vts_.Advance(origin);
     ++stats_.remote_txns_applied;
-    uncommitted_remote_[origin].emplace(rec.version.seqno, PendingRemote{std::move(rec)});
+    uncommitted_remote_[origin].emplace(rec.version.seqno, std::move(rec));
   }
 }
 
@@ -1984,15 +1910,15 @@ void WalterServer::TryCommitRemotes() {
         auto it = uncommitted.begin();
         uint64_t next = committed_vts_.at(j) + 1;
         if (it->first != next || (!co_sited && next > durable_known_[j]) ||
-            !committed_vts_.Covers(it->second.record.start_vts)) {
+            !committed_vts_.Covers(it->second.start_vts)) {
           break;  // Figure 13's remote-commit guard
         }
         committed_vts_.Advance(j);
-        ReleaseLocks(it->second.record.tid);
-        WTRACE(sim_->Now(), TraceKind::kRemoteCommit, it->second.record.tid, options_.site,
-               it->first, j);
+        ReleaseLocks(it->second.tid);
+        WTRACE(sim_->Now(), TraceKind::kRemoteCommit, it->second.tid, options_.site, it->first,
+               j);
         if (observer_) {
-          observer_(options_.site, it->second.record);
+          observer_(options_.site, it->second);
         }
         uncommitted.erase(it);
         advanced[j] = true;
@@ -2157,12 +2083,8 @@ void WalterServer::InstallOwnRecords(std::vector<TxRecord> records, SiteId peer)
     if (rec.origin != options_.site || rec.version.seqno != next) {
       continue;  // duplicate or out of order; only the sequential prefix installs
     }
-    store_.Apply(rec);
-    if (storage_hook_) {
-      storage_hook_(StorageEvent::kWalAppend, store_.wal().base() + store_.wal().size());
-      if (crashed_) {
-        return;
-      }
+    if (!AppendRecord(rec)) {
+      return;
     }
     committed_vts_.Advance(options_.site);
     got_vts_.set(options_.site, next);
@@ -2176,7 +2098,6 @@ void WalterServer::InstallOwnRecords(std::vector<TxRecord> records, SiteId peer)
     lc.record = std::move(rec);
     lc.flushed = true;
     lc.committed = true;
-    committed_tids_[lc.record.tid] = next;
     committed_versions_[lc.record.tid] = lc.record.version;
     RecordOutcome(lc.record.tid);
     if (observer_) {
@@ -2188,13 +2109,7 @@ void WalterServer::InstallOwnRecords(std::vector<TxRecord> records, SiteId peer)
     return;
   }
   batch_cache_ = {};  // ranges crossing the healed gap must re-serialize
-  size_t wal_frontier = store_.wal().base() + store_.wal().size();
-  disk_.Flush([this, wal_frontier, installed_through]() {
-    if (crashed_) {
-      return;  // the machine died with the flush in flight: bytes not durable
-    }
-    store_.wal().Sync();
-    durable_wal_bytes_ = std::max(durable_wal_bytes_, wal_frontier);
+  FlushWal([this, installed_through]() {
     if (durable_applied_.at(options_.site) < installed_through) {
       durable_applied_.set(options_.site, installed_through);
     }
@@ -2252,12 +2167,11 @@ void WalterServer::UpdateDsDurable() {
         !IsDsDurableQuorum(it->second.record)) {
       break;
     }
-    it->second.ds_durable = true;
     ds_durable_through_ = next;
-    WTRACE(sim_->Now(), TraceKind::kDsDurable, it->second.record.tid, options_.site, next);
-    if (it->second.want_durable) {
-      NotifyClient(it->second.reply_site, it->second.reply_port, kDurableNotify,
-                   it->second.record.tid);
+    const LocalCommit& lc = it->second;
+    WTRACE(sim_->Now(), TraceKind::kDsDurable, lc.record.tid, options_.site, next);
+    if (lc.reply.want_durable) {
+      NotifyClient(lc.reply.reply_site, lc.reply.reply_port, kDurableNotify, lc.record.tid);
     }
   }
   if (ds_durable_through_ != before) {
@@ -2309,14 +2223,12 @@ void WalterServer::UpdateGloballyVisible() {
     ++visible_through_;
     auto it = local_commits_.find(visible_through_);
     if (it != local_commits_.end()) {
-      WTRACE(sim_->Now(), TraceKind::kVisible, it->second.record.tid, options_.site,
-             visible_through_);
-      if (it->second.want_visible) {
-        NotifyClient(it->second.reply_site, it->second.reply_port, kVisibleNotify,
-                     it->second.record.tid);
+      const LocalCommit& lc = it->second;
+      WTRACE(sim_->Now(), TraceKind::kVisible, lc.record.tid, options_.site, visible_through_);
+      if (lc.reply.want_visible) {
+        NotifyClient(lc.reply.reply_site, lc.reply.reply_port, kVisibleNotify, lc.record.tid);
       }
       // Globally visible implies received everywhere: safe to stop retaining.
-      committed_tids_.erase(it->second.record.tid);
       local_commits_.erase(it);
     }
   }
@@ -2360,10 +2272,9 @@ void WalterServer::SweepIdleTxs() {
   sim_->After(options_.idle_tx_timeout / 2, Guard([this]() {
     if (!crashed_) {
       for (auto it = active_.begin(); it != active_.end();) {
-        // A buffered transaction whose client went silent: drop it. In-flight
-        // commits (committing flag) resolve through the commit path instead.
-        if (!it->second.committing &&
-            sim_->Now() - it->second.last_touch > options_.idle_tx_timeout) {
+        // A buffered transaction whose client went silent: drop it. (A commit
+        // takes its transaction out of active_ before it can wait anywhere.)
+        if (sim_->Now() - it->second.last_touch > options_.idle_tx_timeout) {
           aborted_tids_.insert(it->first);
           RecordOutcome(it->first);
           it = active_.erase(it);
@@ -2427,8 +2338,9 @@ void WalterServer::AnswerRemoteRead(RemoteReadRequest req, RpcEndpoint::ReplyFn 
       return;
     }
     if (!req.vts.Covers(store_.gc_frontier())) {
-      // The caller's snapshot is below OUR frontier (possible in
-      // frontier-gossip mode, where sites fold independently). Answering from
+      // The caller's snapshot is below our frontier: a client-carried
+      // snapshot that outlived its pin, folded past while this request was
+      // in flight or by a fold the caller has not applied yet. Answering from
       // a folded base could double-count ops the caller also holds or leak
       // too-new regular values. Refuse: found=false maps to kUnavailable at a
       // cset caller; for regular reads the reply is withheld so the caller's
@@ -2697,12 +2609,10 @@ void WalterServer::Restore(const DurableImage& image) {
       retain(rec);
     }
   }
-  committed_tids_.clear();
   committed_versions_.clear();
   aborted_tids_.clear();
   outcome_log_.clear();
   for (const auto& [seqno, lc] : local_commits_) {
-    committed_tids_[lc.record.tid] = seqno;
     committed_versions_[lc.record.tid] = lc.record.version;
     RecordOutcome(lc.record.tid);  // restamped: the original settle time is gone
   }
@@ -2772,7 +2682,6 @@ void WalterServer::TruncateOwnLog(uint64_t survive_through) {
       // The commit never took effect cluster-wide; a retransmitted commit must
       // not be told "committed". The tid becomes unknown (not aborted), so a
       // bare retried commit gets kUnavailable.
-      committed_tids_.erase(it->second.record.tid);
       committed_versions_.erase(it->second.record.tid);
       it = local_commits_.erase(it);
     } else {
@@ -2894,7 +2803,7 @@ void WalterServer::HandleTxStatus(const Message& msg, RpcEndpoint::ReplyFn reply
   TxStatusResponse resp;
   if (slow_commits_.contains(req.tid)) {
     resp.outcome = TxStatusOutcome::kTxPending;  // 2PC still deciding
-  } else if (committed_tids_.contains(req.tid) || committed_versions_.contains(req.tid)) {
+  } else if (committed_versions_.contains(req.tid)) {
     resp.outcome = TxStatusOutcome::kTxCommitted;
   } else {
     // Unknown: never committed here, or already globally visible (in which

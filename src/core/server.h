@@ -83,7 +83,6 @@ class WalterServer {
     // or gave up its retry budget mid-transaction) are dropped after this
     // idle period. 0 disables the sweep.
     SimDuration idle_tx_timeout = 0;
-    size_t cache_bytes = size_t{1} << 30;
     // Cap on transactions per propagation batch.
     size_t max_batch_records = 20000;
     // Commit/abort outcomes (the retransmission dedup state) are dropped this
@@ -128,9 +127,9 @@ class WalterServer {
     // shard map). Empty = every server is its own geo site, which disables the
     // co-sited fast-visibility path.
     std::vector<SiteId> geo_site_of;
-    // Clock-ordered WAN commits (wired from ClusterOptions::clock_commit). On:
-    // the slow-commit coordinator stamps each WAN prepare with a future commit
-    // timestamp (its local clock + clock_max_owd + 2*skew bound + clock_slack);
+    // Clock-ordered WAN commits. On: the slow-commit coordinator stamps each
+    // WAN prepare with a future commit timestamp (its local clock + the
+    // topology's worst one-way delay + 2*skew bound + a 1ms slack);
     // participants hold the vote until their own clock passes it and evaluate
     // held votes in (commit_ts, coordinator, tid) order, so concurrent
     // conflicting slow commits resolve identically at every participant. The
@@ -141,12 +140,6 @@ class WalterServer {
     // propagation round trip. Off: nothing is stamped or held.
     bool clock_commit = false;
     ClockModel::Options clock;          // per-site skew/drift model
-    // Maximum one-way delay to any 2PC participant (the cluster wires this
-    // from its topology: max RTT / 2). Sizes the future commit timestamp.
-    SimDuration clock_max_owd = Millis(100);
-    // Safety margin on top of max OWD + skew so an on-time prepare still
-    // arrives before the participant's clock passes commit_ts.
-    SimDuration clock_slack = Millis(1);
   };
 
   // Storage-layer milestones, exposed for crash-point enumeration: the crash
@@ -385,7 +378,6 @@ class WalterServer {
   struct ActiveTx {
     VectorTimestamp start_vts;
     std::vector<ObjectUpdate> updates;
-    bool committing = false;
     uint64_t max_op_seq = 0;  // highest client op_seq buffered (retry dedup)
     SimTime last_touch = 0;   // for idle expiry (abandoned clients)
     // Per-transaction consistency level (docs/CONSISTENCY.md); kPsi from a
@@ -396,17 +388,25 @@ class WalterServer {
     std::vector<ObjectId> read_oids;
   };
 
+  using RespondFn = std::function<void(ClientOpResponse)>;
+
+  // Where a commit's outcome goes: the client's reply, sent once the commit
+  // settles, and the durability/visibility notifications it asked for. One
+  // value follows the commit through every state it can wait in.
+  struct CommitReply {
+    bool want_durable = false;
+    bool want_visible = false;
+    uint32_t reply_port = 0;      // client endpoint for notifications
+    SiteId reply_site = kNoSite;  // client's node when not this server's own
+    RespondFn respond;
+  };
+
   // A locally committed transaction, retained until globally visible.
   struct LocalCommit {
     TxRecord record;
     bool flushed = false;     // group-commit flush completed
     bool committed = false;   // CommittedVTS advanced past it
-    bool ds_durable = false;
-    bool want_durable = false;
-    bool want_visible = false;
-    uint32_t reply_port = 0;  // client endpoint for notifications
-    SiteId reply_site = kNoSite;  // client's node when not this server's own
-    std::function<void(ClientOpResponse)> respond;  // client reply, sent at commit
+    CommitReply reply;
   };
 
   // Outbound replication state per destination site.
@@ -421,11 +421,6 @@ class WalterServer {
     uint32_t resend_attempts = 0;  // consecutive unacked resends (backoff)
   };
 
-  // A remote transaction applied to the store but not yet committed here.
-  struct PendingRemote {
-    TxRecord record;
-  };
-
   // In-flight slow commit at the coordinator.
   struct SlowCommitState {
     TxId tid = 0;
@@ -434,11 +429,7 @@ class WalterServer {
     size_t votes_pending = 0;
     bool any_no = false;
     bool finished = false;
-    std::function<void(ClientOpResponse)> reply;
-    bool want_durable = false;
-    bool want_visible = false;
-    uint32_t reply_port = 0;
-    SiteId reply_site = kNoSite;
+    CommitReply reply;
     AbortReason abort_reason = AbortReason::kConflict;  // first no-vote's reason
     uint64_t priority = 0;            // wound-wait age (commit entry time + 1)
     bool sequential = false;          // all-co-sited: acquire sites one at a time
@@ -455,14 +446,12 @@ class WalterServer {
 
   // --- request plumbing ---
   void HandleClientOp(const Message& msg, RpcEndpoint::ReplyFn reply);
-  void ProcessClientOp(const ClientOpRequest& req,
-                       std::function<void(ClientOpResponse)> respond);
+  void ProcessClientOp(const ClientOpRequest& req, RespondFn respond);
   // Handles a retransmitted commit: answers (or chains onto) the recorded /
   // in-flight outcome instead of double-applying. Returns true if handled.
-  bool DedupRetransmittedCommit(const ClientOpRequest& req,
-                                std::function<void(ClientOpResponse)>& respond);
+  bool DedupRetransmittedCommit(const ClientOpRequest& req, RespondFn& respond);
   void DoRead(const ClientOpRequest& req, const VectorTimestamp& vts, const ActiveTx* tx,
-              std::function<void(ClientOpResponse)> respond, uint32_t park_attempt = 0);
+              RespondFn respond, uint32_t park_attempt = 0);
   // Next re-park delay for the park_attempt'th blocked retry of a read, or
   // nullopt once the accumulated wait exhausts read_park_budget (give up).
   std::optional<SimDuration> ReadParkDelay(uint32_t park_attempt) const;
@@ -471,36 +460,37 @@ class WalterServer {
   // RPC timeout) chains onto the live park instead of starting a second park
   // chain with a fresh starvation budget — and the retry timer re-enters
   // DoRead with the registry's current closure.
-  void ParkRead(const ClientOpRequest& req, const VectorTimestamp& vts,
-                std::function<void(ClientOpResponse)> respond, uint32_t park_attempt,
-                SimDuration delay);
+  void ParkRead(const ClientOpRequest& req, const VectorTimestamp& vts, RespondFn respond,
+                uint32_t park_attempt, SimDuration delay);
   // Admission-control gate (HandleClientOp, before the CPU charge). Returns
   // false after rejecting with kOverloaded; on admit, wraps `respond` with the
   // inflight-accounting token when limits are on.
-  bool AdmitClientOp(const ClientOpRequest& req,
-                     std::function<void(ClientOpResponse)>& respond);
+  bool AdmitClientOp(const ClientOpRequest& req, RespondFn& respond);
   // True when `req` retransmits an op this server already holds state for (a
   // still-parked read, or a commit with an in-flight/parked/settled outcome):
   // the dedup machinery services it from that state, so the admission gate
   // must not bounce it — rejecting would fail a client whose original op
   // still occupies its admission slot.
   bool IsAdmittedRetransmission(const ClientOpRequest& req) const;
-  void DoCommit(TxId tid, ActiveTx tx, bool want_durable, bool want_visible,
-                uint32_t reply_port, SiteId reply_site,
-                std::function<void(ClientOpResponse)> respond, uint32_t park_attempt = 0);
+  void DoCommit(TxId tid, ActiveTx tx, CommitReply reply, uint32_t park_attempt = 0);
 
   // --- commit protocols ---
-  void FastCommit(TxId tid, ActiveTx tx, bool want_durable, bool want_visible,
-                  uint32_t reply_port, SiteId reply_site,
-                  std::function<void(ClientOpResponse)> respond, SimTime deadline = 0);
-  void SlowCommit(TxId tid, ActiveTx tx, bool want_durable, bool want_visible,
-                  uint32_t reply_port, SiteId reply_site,
-                  std::function<void(ClientOpResponse)> respond);
+  void FastCommit(TxId tid, ActiveTx tx, CommitReply reply, SimTime deadline = 0);
+  void SlowCommit(TxId tid, ActiveTx tx, CommitReply reply);
   void FinishSlowCommit(std::shared_ptr<SlowCommitState> state);
   // Shared local-commit tail: assign seqno, apply, group-commit flush.
-  void CommitLocally(TxId tid, const ActiveTx& tx, bool want_durable, bool want_visible,
-                     uint32_t reply_port, SiteId reply_site,
-                     std::function<void(ClientOpResponse)> respond);
+  void CommitLocally(TxId tid, const ActiveTx& tx, CommitReply reply);
+  // The one kAborted exit of a commit: abort counters, the recorded outcome,
+  // the kTxAbort trace and the client reply, in that order.
+  void AbortCommit(TxId tid, AbortReason reason, const RespondFn& respond);
+  // The durable-append path shared by own commits, remote applies and own-
+  // record backfill. AppendRecord logs and applies one record, then fires the
+  // storage hook; false means the hook crashed the server at this append
+  // boundary (the record is framed but will never be flushed). FlushWal
+  // group-commits everything appended so far and runs `on_durable` once the
+  // bytes are synced, unless the server crashed with the flush in flight.
+  bool AppendRecord(const TxRecord& record);
+  void FlushWal(std::function<void()> on_durable);
   void OnLocalFlushed(uint64_t seqno);
   void AdvanceLocalCommits();
 
@@ -635,6 +625,9 @@ class WalterServer {
   // Bounded-skew local clock (ClockModel seam): pure function of simulated
   // time, so it exists — inert — even with clock_commit off.
   ClockModel clock_;
+  // Worst one-way delay to any 2PC participant (max RTT / 2 over the
+  // topology). Sizes the clock-ordered commit's future timestamp.
+  const SimDuration clock_max_owd_;
 
   // Figure 9 state.
   uint64_t curr_seqno_ = 0;
@@ -687,27 +680,24 @@ class WalterServer {
   SimTime clock_timer_at_ = -1;  // -1 = no timer armed
   std::vector<TxId> pending_wakes_;  // tids to resume after the current event
   bool wake_scheduled_ = false;
-  // A fast commit parked on a held lock: its buffered transaction and reply
-  // plumbing, keyed by tid so a retransmitted commit can chain onto it.
+  // A commit parked before it reached the store: its buffered transaction and
+  // reply, keyed by tid so a retransmitted commit can chain onto it.
   struct ParkedCommit {
     ActiveTx tx;
-    bool want_durable = false;
-    bool want_visible = false;
-    uint32_t reply_port = 0;
-    SiteId reply_site = kNoSite;
-    std::function<void(ClientOpResponse)> respond;
+    CommitReply reply;
   };
+  // Fast commits parked on a held lock.
   std::unordered_map<TxId, ParkedCommit> parked_commits_;
   // Reply closures of reads parked on a watermark or sibling-shard snapshot
   // gap, keyed by (tid, op_seq). An entry exists exactly while the read is
   // parked; retransmissions chain onto it (see ParkRead).
-  std::map<std::pair<TxId, uint64_t>, std::function<void(ClientOpResponse)>> parked_reads_;
-  // Reply closures of commits parked on a sibling-shard snapshot gap, keyed by
-  // tid. The buffered transaction itself rides the retry timer; this registry
-  // exists so DedupRetransmittedCommit can chain a retransmitted commit onto
-  // the parked one instead of refusing it as lost state (or, worse,
-  // re-buffering and double-committing a piggybacked update).
-  std::unordered_map<TxId, std::function<void(ClientOpResponse)>> gap_commit_waiters_;
+  std::map<std::pair<TxId, uint64_t>, RespondFn> parked_reads_;
+  // Commits parked on a sibling-shard snapshot gap. The retry timer carries
+  // only the tid; the registry lets DedupRetransmittedCommit chain a
+  // retransmitted commit onto the parked one instead of refusing it as lost
+  // state (or, worse, re-buffering and double-committing a piggybacked
+  // update).
+  std::unordered_map<TxId, ParkedCommit> gap_commit_waiters_;
   // Admitted-but-unanswered client ops (admission control's inflight gauge;
   // stays 0 with admission off).
   size_t admitted_inflight_ = 0;
@@ -715,12 +705,10 @@ class WalterServer {
   // flight (the stale-watermark sweep's bookkeeping).
   std::unordered_map<TxId, SimTime> watermark_installed_;
   std::unordered_set<TxId> watermark_query_in_flight_;
-  // Local commits by tid, kept while the record is retained (for kTxStatus).
-  std::unordered_map<TxId, uint64_t> committed_tids_;
-  // All-time commit outcomes by tid, kept past global visibility so a late
-  // commit retransmission is answered instead of double-applied. (In the
-  // simulation this grows with the run; a production server would age entries
-  // out after the client lease expires.)
+  // Commit outcomes by tid, kept past global visibility so a late commit
+  // retransmission is answered instead of double-applied; aged out by
+  // AgeTxOutcomes. While the record is retained, local_commits_ holds it at
+  // the version's seqno.
   std::unordered_map<TxId, Version> committed_versions_;
   std::unordered_set<TxId> aborted_tids_;
   // Outcomes in settle order with their settle time; AgeTxOutcomes() drains the
@@ -729,7 +717,7 @@ class WalterServer {
 
   // Inbound replication.
   std::vector<std::map<uint64_t, TxRecord>> pending_in_;      // per origin: buffered
-  std::vector<std::map<uint64_t, PendingRemote>> uncommitted_remote_;  // applied, not committed
+  std::vector<std::map<uint64_t, TxRecord>> uncommitted_remote_;  // applied, not committed
   std::vector<uint64_t> durable_known_;  // per origin: ds-durable-through
   std::vector<bool> site_active_;        // per site: in the current configuration
 

@@ -8,10 +8,7 @@
 
 namespace walter {
 
-Store::Store(size_t cache_capacity_bytes) : cache_(cache_capacity_bytes) {}
-
-Store::Store(size_t cache_capacity_bytes, std::unique_ptr<WalDevice> wal_device)
-    : wal_(std::move(wal_device)), cache_(cache_capacity_bytes) {}
+Store::Store(std::unique_ptr<WalDevice> wal_device) : wal_(std::move(wal_device)) {}
 
 void Store::Apply(const TxRecord& record) {
   wal_.Append(record);
@@ -108,14 +105,6 @@ std::optional<Version> Store::LatestVersion(const ObjectId& oid) const {
     return std::nullopt;
   }
   return it->second.LatestVersion();
-}
-
-bool Store::TouchCache(const ObjectId& oid, ObjectType type, size_t approx_bytes) {
-  if (cache_.Lookup(oid)) {
-    return true;
-  }
-  cache_.Insert(oid, type, approx_bytes);
-  return false;
 }
 
 size_t Store::GarbageCollect(const VectorTimestamp& stable) {

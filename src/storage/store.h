@@ -1,5 +1,6 @@
 // Store: the per-site storage engine tying together object histories, the
-// write-ahead log, the object cache and checkpointing (Section 6).
+// write-ahead log and checkpointing (Section 6). Every object stays in memory;
+// the paper's object cache with cset-preferring eviction is not modelled.
 //
 // The Walter server drives it with committed TxRecords (its own commits and
 // remote propagations); reads are snapshot reads against a vector timestamp.
@@ -17,7 +18,6 @@
 #include "src/common/types.h"
 #include "src/common/update.h"
 #include "src/crdt/cset.h"
-#include "src/storage/lru_cache.h"
 #include "src/storage/object_history.h"
 #include "src/storage/wal.h"
 
@@ -25,10 +25,9 @@ namespace walter {
 
 class Store {
  public:
-  explicit Store(size_t cache_capacity_bytes = size_t{1} << 30);
-  // Puts the WAL on a persistence device (real segment files). The simulated
-  // default keeps the in-memory image only.
-  Store(size_t cache_capacity_bytes, std::unique_ptr<WalDevice> wal_device);
+  // `wal_device` puts the WAL on a persistence device (real segment files).
+  // The simulated default (nullptr) keeps the in-memory image only.
+  explicit Store(std::unique_ptr<WalDevice> wal_device = nullptr);
   // The dirty list points into this store's own history nodes: a copy would
   // alias them. A move carries the nodes over, so the pointers stay valid.
   Store(const Store&) = delete;
@@ -66,11 +65,6 @@ class Store {
   std::optional<Version> LatestVersion(const ObjectId& oid) const;
   bool Has(const ObjectId& oid) const { return histories_.contains(oid); }
   size_t object_count() const { return histories_.size(); }
-
-  // Cache ------------------------------------------------------------------
-  // Records an access; returns true on a cache hit. Misses admit the entry.
-  bool TouchCache(const ObjectId& oid, ObjectType type, size_t approx_bytes);
-  const LruCache& cache() const { return cache_; }
 
   // Maintenance --------------------------------------------------------------
   // Folds history entries below `stable` (see ObjectHistory::GarbageCollect)
@@ -177,7 +171,6 @@ class Store {
   // (rehashing relinks nodes, it does not relocate them).
   std::vector<ObjectHistory*> dirty_;
   Wal wal_;
-  LruCache cache_;
   size_t checkpoint_frontier_ = 0;
   VectorTimestamp gc_frontier_;
   // Visibility watermarks, indexed both ways: per object (write/read checks)

@@ -34,7 +34,7 @@ ClusterOptions ClockOptions(bool clock_commit) {
   o.server.disk = DiskConfig::Memory();
   o.server.gossip_interval = 0;
   o.server.clock.drift_ppm = 0;
-  o.clock_commit = clock_commit;
+  o.server.clock_commit = clock_commit;
   return o;
 }
 

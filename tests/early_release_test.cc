@@ -587,7 +587,7 @@ TEST(EarlyReleaseWoundTest, OlderLocalVoteWoundsYoungerHolder) {
 // this relaxation is ClockCommitTest.SnapshotCoveredWatermarkBypass.
 TEST(EarlyReleaseClockTest, ParticipantBypassesSnapshotCoveredWatermark) {
   ClusterOptions options = ShardedOptions(1, 2);
-  options.clock_commit = true;
+  options.server.clock_commit = true;
   Cluster cluster(options);
   const ShardMap& map = cluster.shard_map();
   ContainerId c0 = ContainerOnShard(map, 0, 0);

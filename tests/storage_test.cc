@@ -1,8 +1,7 @@
-// Tests for object histories, the WAL (framing, torn-tail recovery), the LRU
-// cache with cset-preferring eviction, and Store checkpoint/recovery.
+// Tests for object histories, the WAL (framing, torn-tail recovery) and Store
+// checkpoint/recovery.
 #include <gtest/gtest.h>
 
-#include "src/storage/lru_cache.h"
 #include "src/storage/object_history.h"
 #include "src/storage/store.h"
 #include "src/storage/wal.h"
@@ -273,57 +272,6 @@ TEST(WalTest, OldestSeqnoTracksTruncationAndReseeding) {
   EXPECT_EQ(wal.base(), 4096u);
   EXPECT_EQ(wal.OldestSeqno(0), 4u);
   EXPECT_EQ(wal.OldestSeqno(1), 9u);
-}
-
-// --- LruCache ---------------------------------------------------------------
-
-TEST(LruCacheTest, EvictsLeastRecentlyUsed) {
-  LruCache cache(300);
-  cache.Insert(Oid(1, 1), ObjectType::kRegular, 100);
-  cache.Insert(Oid(1, 2), ObjectType::kRegular, 100);
-  cache.Insert(Oid(1, 3), ObjectType::kRegular, 100);
-  EXPECT_TRUE(cache.Lookup(Oid(1, 1)));  // refresh 1
-  cache.Insert(Oid(1, 4), ObjectType::kRegular, 100);
-  EXPECT_TRUE(cache.Lookup(Oid(1, 1)));
-  EXPECT_FALSE(cache.Lookup(Oid(1, 2)));  // LRU victim
-  EXPECT_TRUE(cache.Lookup(Oid(1, 3)));
-  EXPECT_TRUE(cache.Lookup(Oid(1, 4)));
-}
-
-TEST(LruCacheTest, PrefersEvictingRegularOverCset) {
-  LruCache cache(300);
-  cache.Insert(Oid(1, 1), ObjectType::kCset, 100);
-  cache.Insert(Oid(1, 2), ObjectType::kRegular, 100);
-  cache.Insert(Oid(1, 3), ObjectType::kRegular, 100);
-  cache.Insert(Oid(1, 4), ObjectType::kRegular, 100);
-  // The cset is older than every regular entry yet survives (Section 6).
-  EXPECT_TRUE(cache.Lookup(Oid(1, 1)));
-  EXPECT_FALSE(cache.Lookup(Oid(1, 2)));
-}
-
-TEST(LruCacheTest, EvictsCsetsWhenNoRegularLeft) {
-  LruCache cache(200);
-  cache.Insert(Oid(1, 1), ObjectType::kCset, 100);
-  cache.Insert(Oid(1, 2), ObjectType::kCset, 100);
-  cache.Insert(Oid(1, 3), ObjectType::kCset, 100);
-  EXPECT_FALSE(cache.Lookup(Oid(1, 1)));
-  EXPECT_TRUE(cache.Lookup(Oid(1, 3)));
-}
-
-TEST(LruCacheTest, OversizedEntryNotAdmitted) {
-  LruCache cache(100);
-  cache.Insert(Oid(1, 1), ObjectType::kRegular, 500);
-  EXPECT_FALSE(cache.Lookup(Oid(1, 1)));
-  EXPECT_EQ(cache.used_bytes(), 0u);
-}
-
-TEST(LruCacheTest, TracksHitsAndMisses) {
-  LruCache cache(100);
-  cache.Insert(Oid(1, 1), ObjectType::kRegular, 10);
-  cache.Lookup(Oid(1, 1));
-  cache.Lookup(Oid(1, 2));
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
 }
 
 // --- Store: apply/read/checkpoint/recover -----------------------------------

@@ -1,9 +1,15 @@
 // Client-library behaviour: the RPC-count contract of Section 8.2 across
 // transaction shapes (parameterized), id minting, notification plumbing for
-// many concurrent transactions, and snapshot reuse across operations.
+// many concurrent transactions, snapshot reuse across operations, and the
+// server's dedup of a commit retransmitted while the original still waits
+// (parameterized over where it waits).
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "src/core/cluster.h"
 
@@ -287,6 +293,182 @@ TEST(ClientTest, CrashedServerYieldsUnavailableWithinRetryBudget) {
   }
   EXPECT_LE(cluster.sim().Now() - start, budget);
 }
+
+// --- Commit retransmission dedup --------------------------------------------
+
+// Where the original commit waits when its retransmission arrives. In each
+// state the server must chain the retransmission's reply onto the original's
+// instead of committing a second time.
+enum class CommitWait {
+  kTwoPhaseDeciding,  // slow commit still collecting prepare votes
+  kLockParked,        // fast commit parked behind a held prepare lock
+  kGapParked,         // sharded commit parked on a sibling-shard snapshot gap
+  kFlushing,          // applied locally, group-commit flush still in flight
+};
+
+std::string CommitWaitName(const ::testing::TestParamInfo<CommitWait>& info) {
+  switch (info.param) {
+    case CommitWait::kTwoPhaseDeciding:
+      return "TwoPhaseDeciding";
+    case CommitWait::kLockParked:
+      return "LockParked";
+    case CommitWait::kGapParked:
+      return "GapParked";
+    case CommitWait::kFlushing:
+      return "Flushing";
+  }
+  return "Unknown";
+}
+
+class CommitDedupTest : public ::testing::TestWithParam<CommitWait> {};
+
+// A raw client endpoint sends a commit-bearing op, waits until the original
+// is in the parameter's state, then sends the identical request again. The
+// transaction must apply exactly once, and both RPCs must be answered with
+// the same commit version — the retransmission no earlier than the original,
+// so it is never acked before the commit is durable.
+TEST_P(CommitDedupTest, RetransmissionChainsOntoWaitingOriginal) {
+  const CommitWait wait = GetParam();
+  constexpr TxId kTid = 0xD00D;
+  constexpr TxId kHolder = 0xB10C;
+  ClusterOptions options = LogicOptions(wait == CommitWait::kTwoPhaseDeciding ? 2 : 1);
+  if (wait == CommitWait::kGapParked) {
+    options.servers_per_site = {2};
+  }
+  if (wait == CommitWait::kFlushing) {
+    options.server.disk = DiskConfig{.flush_latency = Millis(5), .jitter = 0};
+  }
+  Cluster cluster(options);
+  // The gap case commits at shard 1 of a sharded site; every other case at
+  // server 0, writing a container preferred there.
+  ContainerId c = 0;
+  SiteId server_id = 0;
+  if (wait == CommitWait::kGapParked) {
+    while (cluster.shard_map().ShardOf(c, 0) != 1) {
+      ++c;
+    }
+    server_id = cluster.shard_map().ServerAt(0, 1);
+  }
+  WalterServer& server = cluster.server(server_id);
+  size_t applied = 0;
+  cluster.ObserveCommits([&](SiteId site, const TxRecord& rec) {
+    if (site == server_id && rec.tid == kTid) {
+      ++applied;
+    }
+  });
+  RpcEndpoint client(&cluster.net(), Address{0, kClientPortBase});
+  const Address to{server_id, kWalterPort};
+  auto run_until = [&](const std::function<bool()>& done) {
+    SimTime deadline = cluster.sim().Now() + Seconds(20);
+    while (!done() && cluster.sim().Now() < deadline && cluster.sim().Step()) {
+    }
+    return done();
+  };
+  // (call number, response) in arrival order.
+  std::vector<std::pair<int, ClientOpResponse>> replies;
+  int calls = 0;
+  auto call = [&](const ClientOpRequest& req) {
+    client.Call(
+        to, kClientOp, req.Serialize(),
+        [&replies, n = calls++](Status status, const Message& m) {
+          ASSERT_TRUE(status.ok()) << status.ToString();
+          replies.emplace_back(n, ClientOpResponse::Deserialize(m.payload));
+        },
+        Seconds(60));
+  };
+
+  ClientOpRequest commit;
+  commit.tid = kTid;
+  commit.op = ClientOpKind::kWrite;
+  commit.oid = Oid(c, 1);
+  commit.data = "once";
+  commit.commit_after = true;
+  commit.op_seq = 1;
+  std::function<bool()> original_waits;
+  switch (wait) {
+    case CommitWait::kTwoPhaseDeciding: {
+      // Buffer a write preferred at site 1 first, so the commit needs 2PC.
+      ClientOpRequest buffered = commit;
+      buffered.oid = Oid(1, 1);
+      buffered.commit_after = false;
+      call(buffered);
+      ASSERT_TRUE(run_until([&] { return replies.size() == 1; }));
+      replies.clear();
+      calls = 0;
+      commit.op_seq = 2;
+      original_waits = [&] { return server.stats().slow_commits == 1; };
+      break;
+    }
+    case CommitWait::kLockParked: {
+      // A prepare that no coordinator will ever decide holds the object's lock.
+      PrepareRequest prep;
+      prep.tid = kHolder;
+      prep.oids = {commit.oid};
+      prep.start_vts = server.committed_vts();
+      prep.priority = 1;
+      client.Call(to, kPrepare, prep.Serialize(), [](Status, const Message&) {});
+      ASSERT_TRUE(run_until([&] { return server.lock_count() == 1; }));
+      original_waits = [&] { return server.stats().lock_waits == 1; };
+      break;
+    }
+    case CommitWait::kGapParked: {
+      // Shard 0 commits a write whose propagation to shard 1 is dropped; a
+      // commit at shard 1 whose snapshot covers it must wait for the gap.
+      cluster.net().SetDropFilter([](const Message&, const Address& from, const Address& dst) {
+        return from == Address{0, kWalterPort} && dst == Address{1, kWalterPort};
+      });
+      ClientOpRequest ahead = commit;
+      ahead.tid = kHolder;
+      ahead.oid = Oid(c + 1, 1);
+      while (cluster.shard_map().ShardOf(ahead.oid.container, 0) != 0) {
+        ++ahead.oid.container;
+      }
+      client.Call(Address{0, kWalterPort}, kClientOp, ahead.Serialize(),
+                  [](Status, const Message&) {});
+      ASSERT_TRUE(run_until([&] { return cluster.server(0).committed_vts().at(0) == 1; }));
+      commit.vts = cluster.server(0).committed_vts();
+      original_waits = [&] { return server.gap_commit_waiter_count() == 1; };
+      break;
+    }
+    case CommitWait::kFlushing:
+      original_waits = [&] { return server.stats().fast_commits == 1; };
+      break;
+  }
+
+  call(commit);
+  ASSERT_TRUE(run_until(original_waits));
+  ASSERT_TRUE(replies.empty());
+  call(commit);  // the retransmission
+  ASSERT_TRUE(run_until([&] { return server.stats().commit_dedups == 1; }));
+  EXPECT_TRUE(replies.empty()) << "the retransmission must wait for the original's outcome";
+
+  if (wait == CommitWait::kLockParked) {
+    client.Send(to, kAbort2pc, AbortMessage{kHolder}.Serialize());
+  } else if (wait == CommitWait::kGapParked) {
+    cluster.net().SetDropFilter(nullptr);  // the batch resend closes the gap
+  }
+  ASSERT_TRUE(run_until([&] { return replies.size() == 2; }));
+  cluster.RunFor(Seconds(5));  // nothing else may answer or commit it
+
+  ASSERT_EQ(replies.size(), 2u);
+  EXPECT_EQ(replies[0].first, 0) << "the retransmission was answered before the original";
+  const ClientOpResponse& original = replies[0].second;
+  const ClientOpResponse& retransmitted = replies[1].second;
+  EXPECT_EQ(original.status, StatusCode::kOk);
+  EXPECT_EQ(retransmitted.status, StatusCode::kOk);
+  EXPECT_EQ(original.commit_version, retransmitted.commit_version);
+  EXPECT_EQ(original.commit_version.site, server_id);
+  EXPECT_GT(original.commit_version.seqno, 0u);
+  EXPECT_EQ(applied, 1u);
+  EXPECT_EQ(server.stats().commit_dedups, 1u);
+  EXPECT_EQ(server.stats().fast_commits + server.stats().slow_commits, 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(WaitStates, CommitDedupTest,
+                         ::testing::Values(CommitWait::kTwoPhaseDeciding,
+                                           CommitWait::kLockParked, CommitWait::kGapParked,
+                                           CommitWait::kFlushing),
+                         CommitWaitName);
 
 }  // namespace
 }  // namespace walter
