@@ -25,6 +25,10 @@ Fails (exit 1) when the docs disagree with the build:
      must name a field declared in ClusterOptions (src/core/cluster.h) or
      WalterServer::Options (src/core/server.h) — a deleted or moved option
      leaves a stale name that matches nothing.
+  8. Member-name drift: every backticked `X::member` in the docs, for X in
+     Store, WalterServer, LockTable, Cluster, Wal, ObjectHistory and
+     GcCoordinator, must name an identifier declared in X's class body in its
+     header — a deleted or moved member leaves a stale name.
 
 Usage: check_docs.py [repo_root]   (default: the script's parent directory)
 """
@@ -219,6 +223,41 @@ def check_option_names(root: Path, files, errors):
                                   f"{prefix.rstrip(':.')}")
 
 
+MEMBER_HEADERS = {
+    "Store": "src/storage/store.h",
+    "WalterServer": "src/core/server.h",
+    "LockTable": "src/core/lock_table.h",
+    "Cluster": "src/core/cluster.h",
+    "Wal": "src/storage/wal.h",
+    "ObjectHistory": "src/storage/object_history.h",
+    "GcCoordinator": "src/core/gc_coordinator.h",
+}
+MEMBER_REF = re.compile(r"\b(" + "|".join(MEMBER_HEADERS) + r")::(\w+)")
+
+
+def class_identifiers(header: Path, name: str) -> set:
+    """Identifiers in the body of `class name` / `struct name`, comments stripped."""
+    text = re.sub(r"//[^\n]*", "", header.read_text(encoding="utf-8"))
+    opener = re.search(r"\b(?:class|struct)\s+" + name + r"\b[^;{]*\{", text)
+    if not opener:
+        return set()
+    depth, pos = 1, opener.end()
+    while depth and pos < len(text):
+        depth += {"{": 1, "}": -1}.get(text[pos], 0)
+        pos += 1
+    return set(re.findall(r"\b[A-Za-z_]\w*\b", text[opener.end():pos]))
+
+
+def check_member_names(root: Path, files, errors):
+    members = {cls: class_identifiers(root / hdr, cls) for cls, hdr in MEMBER_HEADERS.items()}
+    for md in files:
+        for span in re.findall(r"`([^`\n]+)`", md.read_text(encoding="utf-8")):
+            for cls, name in MEMBER_REF.findall(span):
+                if name not in members[cls]:
+                    errors.append(f"{md}: names '{cls}::{name}', which {MEMBER_HEADERS[cls]} "
+                                  f"does not declare in {cls}")
+
+
 def main() -> int:
     root = Path(sys.argv[1]).resolve() if len(sys.argv) > 1 else Path(__file__).resolve().parent.parent
     files = markdown_files(root)
@@ -232,6 +271,7 @@ def main() -> int:
     check_trace_kinds(root, errors)
     check_env_knobs(root, files, errors)
     check_option_names(root, files, errors)
+    check_member_names(root, files, errors)
     if errors:
         print(f"check_docs: {len(errors)} problem(s):", file=sys.stderr)
         for e in errors:

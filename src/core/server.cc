@@ -421,19 +421,46 @@ void WalterServer::DoRead(const ClientOpRequest& req, const VectorTimestamp& vts
     return;
   }
 
-  if (options_.sharded && !committed_vts_.Covers(vts) &&
-      req.mode != ConsistencyMode::kNmsi) {
-    // Sharded mode only: the snapshot was assigned by a sibling shard whose
-    // committed state runs ahead of ours for some origin, so our history may
-    // still be missing versions the snapshot includes. The gap closes via
-    // normal intra-site propagation (~min_batch_interval); park the read and
-    // retry rather than serve a hole — bounded, so a gap that never closes
-    // (partitioned sibling) starves out instead of re-parking forever. The
-    // ActiveTx pointer is re-resolved on retry — the buffer can move or be
-    // swept while we wait. NMSI transactions skip the park: serving from the
-    // locally applied history is exactly the non-monotonic snapshot NMSI
-    // permits (the read may miss versions the snapshot nominally includes).
+  // Sharded mode only: the snapshot was assigned by a sibling shard whose
+  // committed state runs ahead of ours for some origin, so our history may
+  // still be missing versions the snapshot includes. The gap closes via normal
+  // intra-site propagation (~min_batch_interval); park the read and retry
+  // rather than serve a hole. NMSI transactions skip the park: serving from
+  // the locally applied history is exactly the non-monotonic snapshot NMSI
+  // permits (the read may miss versions the snapshot nominally includes).
+  bool gap = options_.sharded && !committed_vts_.Covers(vts) && req.mode != ConsistencyMode::kNmsi;
+  bool watermarked = false;
+  if (!gap && locks_.has_watermarks()) {
+    // Early lock release: a watermark marks a decided version our snapshot
+    // includes but our history does not hold yet (the lock that used to delay
+    // such snapshots is already released). Park until it commits here; the
+    // watermark clears on the same propagation edge the lock release used to
+    // ride, so the wait is the propagation gap, not a new failure mode.
+    auto blocks = [&](const ObjectId& oid) { return locks_.WatermarkBlocksRead(oid, vts); };
+    watermarked = req.op == ClientOpKind::kMultiRead
+                      ? std::any_of(req.oids.begin(), req.oids.end(), blocks)
+                      : blocks(req.oid);
+    if (watermarked && req.mode == ConsistencyMode::kNmsi) {
+      // NMSI: serve the latest applied version instead of waiting for the
+      // decided one to commit here — the permitted non-monotonic read. The
+      // write path is untouched (lost updates stay forbidden).
+      ++stats_.nmsi_reads_unparked;
+      WTRACE(sim_->Now(), TraceKind::kNmsiRead, req.tid, options_.site, park_attempt);
+      watermarked = false;
+    }
+  }
+  if (gap || watermarked) {
+    // Bounded: the ActiveTx pointer is re-resolved on retry (the buffer can
+    // move or be swept while we wait), and a wait that outlives the whole
+    // retry budget — a partitioned sibling, or a watermark whose clearing
+    // decision edge is gone (crashed origin, unhealed partition) — gives the
+    // client kUnavailable. It restarts on a fresh local snapshot, which cannot
+    // cover the missing version.
     if (auto delay = ReadParkDelay(park_attempt)) {
+      if (watermarked) {
+        ++stats_.watermark_read_waits;
+        WTRACE(sim_->Now(), TraceKind::kWaitWatermark, req.tid, options_.site);
+      }
       ParkRead(req, vts, std::move(respond), park_attempt, *delay);
     } else {
       ++stats_.reads_starved;
@@ -442,50 +469,6 @@ void WalterServer::DoRead(const ClientOpRequest& req, const VectorTimestamp& vts
       respond(std::move(resp));
     }
     return;
-  }
-
-  if (store_.has_watermarks()) {
-    // Early lock release: a watermark marks a decided version our snapshot
-    // includes but our history does not hold yet (the lock that used to delay
-    // such snapshots is already released). Park until it commits here; the
-    // watermark clears on the same propagation edge the lock release used to
-    // ride, so the wait is the propagation gap, not a new failure mode.
-    bool blocked = false;
-    if (req.op == ClientOpKind::kMultiRead) {
-      for (const auto& oid : req.oids) {
-        if (store_.WatermarkBlocksRead(oid, vts)) {
-          blocked = true;
-          break;
-        }
-      }
-    } else {
-      blocked = store_.WatermarkBlocksRead(req.oid, vts);
-    }
-    if (blocked && req.mode == ConsistencyMode::kNmsi) {
-      // NMSI: serve the latest applied version instead of waiting for the
-      // decided one to commit here — the permitted non-monotonic read. The
-      // write path is untouched (lost updates stay forbidden).
-      ++stats_.nmsi_reads_unparked;
-      WTRACE(sim_->Now(), TraceKind::kNmsiRead, req.tid, options_.site, park_attempt);
-      blocked = false;
-    }
-    if (blocked) {
-      if (auto delay = ReadParkDelay(park_attempt)) {
-        ++stats_.watermark_read_waits;
-        WTRACE(sim_->Now(), TraceKind::kWaitWatermark, req.tid, options_.site);
-        ParkRead(req, vts, std::move(respond), park_attempt, *delay);
-      } else {
-        // The watermark outlived the whole retry budget: the decision edge
-        // that clears it is gone (crashed origin, unhealed partition). Give
-        // the client kUnavailable — it restarts on a fresh local snapshot,
-        // which cannot cover the decided-but-uncommitted version.
-        ++stats_.reads_starved;
-        WTRACE(sim_->Now(), TraceKind::kReadStarved, req.tid, options_.site, park_attempt);
-        resp.status = StatusCode::kUnavailable;
-        respond(std::move(resp));
-      }
-      return;
-    }
   }
 
   auto own_regular = [&](const ObjectId& oid) -> std::optional<std::string> {
@@ -851,65 +834,43 @@ void WalterServer::FastCommit(TxId tid, ActiveTx tx, CommitReply reply, SimTime 
            static_cast<uint64_t>(tx.read_oids.size()));
     ws.insert(ws.end(), tx.read_oids.begin(), tx.read_oids.end());
   }
-  TxId blocker = 0;
-  for (const auto& oid : ws) {
-    if (lease_checker_ && !lease_checker_(oid.container)) {
-      ++stats_.aborts;
-      WTRACE(sim_->Now(), TraceKind::kTxAbort, tid, options_.site,
-             static_cast<uint64_t>(StatusCode::kUnavailable));
-      ClientOpResponse resp;
-      resp.status = StatusCode::kUnavailable;
-      reply.respond(std::move(resp));
-      return;
-    }
-    bool wm_blocks = store_.WatermarkBlocksWrite(oid);
-    if (wm_blocks && options_.clock_commit &&
-        !store_.WatermarkBlocksWrite(oid, tx.start_vts)) {
-      // Clock-commit relaxation: every watermark version on oid is already in
-      // this snapshot, so the decided write is not a conflict — it is history
-      // we have seen. Safe locally: a snapshot assigned here Sees only
-      // locally committed versions, and remote apply is causality-gated.
-      ++stats_.clock_conflict_bypasses;
-      wm_blocks = false;
-    }
-    bool conflict = !store_.Unmodified(oid, tx.start_vts) || wm_blocks;
-    if (!conflict) {
-      auto lock = locks_.find(oid);
-      if (lock != locks_.end()) {
-        blocker = lock->second;
-      }
-      continue;
-    }
-    if (std::binary_search(tx.read_oids.begin(), tx.read_oids.end(), oid)) {
+  LockTable::Check check = CheckLocks(tid, ws, tx.start_vts);
+  if (check.verdict == LockTable::Verdict::kUnavailable) {
+    ++stats_.aborts;
+    WTRACE(sim_->Now(), TraceKind::kTxAbort, tid, options_.site,
+           static_cast<uint64_t>(StatusCode::kUnavailable));
+    ClientOpResponse resp;
+    resp.status = StatusCode::kUnavailable;
+    reply.respond(std::move(resp));
+    return;
+  }
+  if (check.verdict == LockTable::Verdict::kConflict) {
+    if (std::binary_search(tx.read_oids.begin(), tx.read_oids.end(), check.conflict)) {
       ++stats_.aborts_ser_validation;
     }
     AbortCommit(tid, AbortReason::kConflict, reply.respond);
     return;
   }
-  if (blocker != 0) {
+  if (check.verdict == LockTable::Verdict::kWait) {
     // Blocked only by live locks: park until the holders resolve. A fast
-    // commit is always younger than any current holder (its age starts now),
-    // so wound-wait never favors it — it just waits its turn.
-    if (deadline == 0) {
-      deadline = sim_->Now() + options_.lock_wait_timeout;
-    }
-    ++stats_.lock_waits;
-    WTRACE(sim_->Now(), TraceKind::kLockWait, tid, options_.site, blocker);
+    // commit is always younger than any current holder (its age starts when
+    // it first parks), so wound-wait never favors it — it just waits its turn.
+    SimTime since = deadline == 0 ? sim_->Now() : deadline - options_.lock_wait_timeout;
     parked_commits_[tid] = ParkedCommit{std::move(tx), std::move(reply)};
-    uint64_t priority = static_cast<uint64_t>(deadline - options_.lock_wait_timeout) + 1;
-    ParkLockWaiter(tid, priority, std::move(ws), deadline, [this, tid, deadline](bool timed_out) {
-      auto node = parked_commits_.extract(tid);
-      if (node.empty()) {
-        return;
-      }
-      ParkedCommit& pc = node.mapped();
-      if (timed_out) {
-        ++stats_.lock_wait_timeouts;
-        AbortCommit(tid, AbortReason::kTimeout, pc.reply.respond);
-        return;
-      }
-      FastCommit(tid, std::move(pc.tx), std::move(pc.reply), deadline);
-    });
+    WaitForLocks(
+        tid, static_cast<uint64_t>(since) + 1, std::move(ws), deadline, check.blockers.back(), 0,
+        [this, tid]() {
+          auto node = parked_commits_.extract(tid);
+          if (!node.empty()) {
+            AbortCommit(tid, AbortReason::kTimeout, node.mapped().reply.respond);
+          }
+        },
+        [this, tid](SimTime deadline) {
+          auto node = parked_commits_.extract(tid);
+          if (!node.empty()) {
+            FastCommit(tid, std::move(node.mapped().tx), std::move(node.mapped().reply), deadline);
+          }
+        });
     return;
   }
   ++stats_.fast_commits;
@@ -1214,28 +1175,17 @@ void WalterServer::StartLocalVote(const std::shared_ptr<SlowCommitState>& state,
     return;
   }
   TxId blocker = 0;
-  PrepareCheck c = CheckPrepare(state->tid, oids, state->tx.start_vts, state->priority, &blocker);
-  if (c == PrepareCheck::kWait) {
-    if (deadline == 0) {
-      deadline = sim_->Now() + options_.lock_wait_timeout;
-    }
-    ++stats_.lock_waits;
-    WTRACE(sim_->Now(), TraceKind::kLockWait, state->tid, options_.site, blocker);
-    ParkLockWaiter(state->tid, state->priority, oids, deadline,
-                   [this, state, oids, deadline](bool timed_out) {
-                     if (timed_out) {
-                       ++stats_.lock_wait_timeouts;
-                       OnPrepareVote(state, options_.site, false, AbortReason::kTimeout);
-                       return;
-                     }
-                     StartLocalVote(state, oids, deadline);
-                   });
+  LockTable::Verdict v =
+      CheckPrepare(state->tid, oids, state->tx.start_vts, state->priority, &blocker);
+  if (v == LockTable::Verdict::kWait) {
+    WaitForLocks(
+        state->tid, state->priority, oids, deadline, blocker, 0,
+        [this, state]() { OnPrepareVote(state, options_.site, false, AbortReason::kTimeout); },
+        [this, state, oids](SimTime deadline) { StartLocalVote(state, oids, deadline); });
     return;
   }
-  if (c == PrepareCheck::kYes) {
-    if (!lock_owners_.contains(state->tid)) {
-      LockAll(state->tid, oids, options_.site, state->tx.read_oids);
-    }
+  if (v == LockTable::Verdict::kYes) {
+    LockAll(state->tid, oids, options_.site, state->tx.read_oids);
     OnPrepareVote(state, options_.site, true, AbortReason::kNone);
     return;
   }
@@ -1334,7 +1284,7 @@ void WalterServer::ReplyPrepareVote(TxId tid, SiteId coordinator,
 void WalterServer::AnswerPrepare(PrepareRequest req, SiteId coordinator,
                                  RpcEndpoint::ReplyFn reply, SimTime deadline,
                                  bool clock_fallback) {
-  if (lock_waiters_.contains(req.tid)) {
+  if (locks_.waiter(req.tid) != nullptr) {
     // A duplicate prepare while the first copy is parked (coordinator resend):
     // refuse rather than stack two deferred votes. The parked copy answers the
     // RPC it arrived on, which the coordinator already timed out; this refusal
@@ -1344,31 +1294,20 @@ void WalterServer::AnswerPrepare(PrepareRequest req, SiteId coordinator,
     return;
   }
   TxId blocker = 0;
-  PrepareCheck c = CheckPrepare(req.tid, req.oids, req.start_vts, req.priority, &blocker);
-  if (c == PrepareCheck::kWait) {
-    if (deadline == 0) {
-      deadline = sim_->Now() + options_.lock_wait_timeout;
-    }
-    ++stats_.lock_waits;
-    WTRACE(sim_->Now(), TraceKind::kLockWait, req.tid, options_.site, blocker, coordinator);
-    std::vector<ObjectId> oids = req.oids;
-    ParkLockWaiter(req.tid, req.priority, std::move(oids), deadline,
-                   [this, req, coordinator, reply, deadline,
-                    clock_fallback](bool timed_out) {
-                     if (timed_out) {
-                       ++stats_.lock_wait_timeouts;
-                       ReplyPrepareVote(req.tid, coordinator, reply, false,
-                                        AbortReason::kTimeout, clock_fallback);
-                       return;
-                     }
-                     AnswerPrepare(req, coordinator, reply, deadline, clock_fallback);
-                   });
+  LockTable::Verdict v = CheckPrepare(req.tid, req.oids, req.start_vts, req.priority, &blocker);
+  if (v == LockTable::Verdict::kWait) {
+    WaitForLocks(
+        req.tid, req.priority, req.oids, deadline, blocker, coordinator,
+        [this, tid = req.tid, coordinator, reply, clock_fallback]() {
+          ReplyPrepareVote(tid, coordinator, reply, false, AbortReason::kTimeout, clock_fallback);
+        },
+        [this, req, coordinator, reply, clock_fallback](SimTime deadline) {
+          AnswerPrepare(req, coordinator, reply, deadline, clock_fallback);
+        });
     return;
   }
-  if (c == PrepareCheck::kYes) {
-    if (!lock_owners_.contains(req.tid)) {
-      LockAll(req.tid, req.oids, coordinator, req.read_oids);
-    }
+  if (v == LockTable::Verdict::kYes) {
+    LockAll(req.tid, req.oids, coordinator, req.read_oids);
     ReplyPrepareVote(req.tid, coordinator, reply, true, AbortReason::kNone, clock_fallback);
     return;
   }
@@ -1445,71 +1384,42 @@ void WalterServer::ReleaseDueHeldPrepares() {
   ArmClockRelease();
 }
 
-WalterServer::PrepareCheck WalterServer::CheckPrepare(TxId tid,
-                                                      const std::vector<ObjectId>& oids,
-                                                      const VectorTimestamp& vts,
-                                                      uint64_t priority, TxId* blocker) {
-  if (lock_owners_.contains(tid)) {
-    return PrepareCheck::kYes;  // duplicate prepare: re-affirm the held vote
-  }
-  bool blocked = false;
-  for (const auto& oid : oids) {
-    if (lease_checker_ && !lease_checker_(oid.container)) {
-      return PrepareCheck::kNo;
-    }
-    // A watermark or a modified history is a decided/committed version this
-    // snapshot does not cover: permanent conflict, waiting cannot help.
-    if (!store_.Unmodified(oid, vts)) {
-      return PrepareCheck::kNo;
-    }
-    if (store_.WatermarkBlocksWrite(oid)) {
-      if (options_.clock_commit && !store_.WatermarkBlocksWrite(oid, vts)) {
-        // Clock-commit relaxation: every decided-but-unapplied version on oid
-        // is already Seen by this snapshot (a dependent back-to-back commit).
-        // Not a conflict — and safe, because remote apply is gated on
-        // got_vts_.Covers(start_vts), so this record applies only after the
-        // watermarked dependency does.
-        ++stats_.clock_conflict_bypasses;
-      } else {
-        return PrepareCheck::kNo;
-      }
-    }
-    auto lock = locks_.find(oid);
-    if (lock != locks_.end() && lock->second != tid) {
-      blocked = true;
-    }
-  }
-  if (!blocked) {
-    return PrepareCheck::kYes;
+LockTable::Check WalterServer::CheckLocks(TxId tid, const std::vector<ObjectId>& oids,
+                                          const VectorTimestamp& vts) {
+  LockTable::Check check =
+      locks_.Classify(tid, oids, vts, options_.clock_commit, store_, lease_checker_);
+  stats_.clock_conflict_bypasses += check.clock_bypasses;
+  return check;
+}
+
+LockTable::Verdict WalterServer::CheckPrepare(TxId tid, const std::vector<ObjectId>& oids,
+                                              const VectorTimestamp& vts, uint64_t priority,
+                                              TxId* blocker) {
+  LockTable::Check check = CheckLocks(tid, oids, vts);
+  if (check.verdict != LockTable::Verdict::kWait) {
+    return check.verdict;
   }
   // Wound-wait: a strictly younger holder whose 2PC this server coordinates
   // (still collecting votes, so its outcome is ours to decide) is wounded.
   // Holders whose coordinator is elsewhere already cast a yes vote we cannot
   // take back — the requester waits for those.
-  for (const auto& oid : oids) {
-    auto lock = locks_.find(oid);
-    if (lock == locks_.end() || lock->second == tid) {
-      continue;
-    }
-    auto sc = slow_commits_.find(lock->second);
-    if (sc == slow_commits_.end()) {
-      continue;
-    }
-    uint64_t holder_priority = sc->second->priority;
-    if (priority < holder_priority || (priority == holder_priority && tid < lock->second)) {
-      WoundLocal(sc->second, tid);
-    }
+  auto coordinated_here = [this](TxId holder) -> std::optional<uint64_t> {
+    auto sc = slow_commits_.find(holder);
+    return sc == slow_commits_.end() ? std::nullopt
+                                     : std::optional<uint64_t>(sc->second->priority);
+  };
+  for (TxId victim :
+       LockTable::WoundCandidates(tid, priority, check.blockers, coordinated_here)) {
+    WoundLocal(slow_commits_.at(victim), tid);
   }
-  for (const auto& oid : oids) {
-    auto lock = locks_.find(oid);
-    if (lock != locks_.end() && lock->second != tid) {
-      if (blocker != nullptr) {
-        *blocker = lock->second;
-      }
-      return PrepareCheck::kWait;
-    }
+  // A wounded holder freed all its locks at once; the first one left blocks.
+  auto left = std::find_if(check.blockers.begin(), check.blockers.end(),
+                           [this](TxId holder) { return locks_.Holds(holder); });
+  if (left == check.blockers.end()) {
+    return LockTable::Verdict::kYes;
   }
-  return PrepareCheck::kYes;
+  *blocker = *left;
+  return LockTable::Verdict::kWait;
 }
 
 void WalterServer::WoundLocal(const std::shared_ptr<SlowCommitState>& victim, TxId winner) {
@@ -1540,8 +1450,7 @@ void WalterServer::HandleCommitDecision(const Message& msg) {
     return;
   }
   ++stats_.decisions_received;
-  auto it = lock_owners_.find(decision.tid);
-  if (it == lock_owners_.end()) {
+  if (!locks_.Holds(decision.tid)) {
     return;  // already released: propagated here first, aborted, or swept
   }
   WTRACE(sim_->Now(), TraceKind::kDecisionRecv, decision.tid, options_.site,
@@ -1549,17 +1458,7 @@ void WalterServer::HandleCommitDecision(const Message& msg) {
   if (committed_vts_.at(origin) < decision.version.seqno) {
     // The decided record has not committed here yet: watermark every object
     // the lock was protecting so the read path takes over the PSI guarantee.
-    for (const auto& oid : it->second.oids) {
-      if (std::binary_search(it->second.read_oids.begin(), it->second.read_oids.end(), oid)) {
-        // Serializable read-set lock: the decided record does not write this
-        // object, so there is no invisible version to cover — a watermark
-        // here would never clear.
-        continue;
-      }
-      store_.AddVisibilityWatermark(oid, decision.version, decision.tid);
-      ++stats_.watermarks_set;
-    }
-    watermark_installed_.emplace(decision.tid, sim_->Now());
+    stats_.watermarks_set += locks_.WatermarkLocked(decision.tid, decision.version, sim_->Now());
     WTRACE(sim_->Now(), TraceKind::kWatermarkSet, decision.tid, options_.site,
            decision.version.seqno, origin);
   }
@@ -1569,37 +1468,20 @@ void WalterServer::HandleCommitDecision(const Message& msg) {
 
 void WalterServer::LockAll(TxId tid, const std::vector<ObjectId>& oids, SiteId coordinator,
                            const std::vector<ObjectId>& read_oids) {
-  WTRACE(sim_->Now(), TraceKind::kLockAcquire, tid, options_.site, oids.size(), coordinator);
-  LockOwner& owner = lock_owners_[tid];
-  owner.coordinator = coordinator;
-  owner.acquired = sim_->Now();
-  owner.read_oids = read_oids;  // sorted; only consulted at decision time
-  for (const auto& oid : oids) {
-    locks_[oid] = tid;
-    owner.oids.push_back(oid);
+  if (locks_.Holds(tid)) {
+    return;
   }
+  WTRACE(sim_->Now(), TraceKind::kLockAcquire, tid, options_.site, oids.size(), coordinator);
+  locks_.Lock(tid, oids, coordinator, read_oids, sim_->Now());
 }
 
 void WalterServer::ReleaseLocks(TxId tid) {
-  auto it = lock_owners_.find(tid);
-  if (it == lock_owners_.end()) {
+  std::optional<size_t> freed = locks_.Release(tid);
+  if (!freed) {
     return;
   }
-  WTRACE(sim_->Now(), TraceKind::kLockRelease, tid, options_.site, it->second.oids.size());
-  for (const auto& oid : it->second.oids) {
-    auto lock = locks_.find(oid);
-    if (lock != locks_.end() && lock->second == tid) {
-      locks_.erase(lock);
-    }
-    if (!lock_waitlist_.empty()) {
-      auto wl = lock_waitlist_.find(oid);
-      if (wl != lock_waitlist_.end()) {
-        pending_wakes_.insert(pending_wakes_.end(), wl->second.begin(), wl->second.end());
-      }
-    }
-  }
-  lock_owners_.erase(it);
-  if (!pending_wakes_.empty() && !wake_scheduled_) {
+  WTRACE(sim_->Now(), TraceKind::kLockRelease, tid, options_.site, *freed);
+  if (locks_.has_wakes() && !wake_scheduled_) {
     // Deferred wake: resuming a waiter can re-enter the commit machinery, and
     // ReleaseLocks is called from inside its loops (AdvanceLocalCommits,
     // TryCommitRemotes).
@@ -1608,78 +1490,55 @@ void WalterServer::ReleaseLocks(TxId tid) {
   }
 }
 
-void WalterServer::ParkLockWaiter(TxId tid, uint64_t priority, std::vector<ObjectId> oids,
-                                  SimTime deadline, std::function<void(bool)> resume) {
-  auto existing = lock_waiters_.find(tid);
-  if (existing != lock_waiters_.end()) {
+void WalterServer::WaitForLocks(TxId tid, uint64_t priority, std::vector<ObjectId> oids,
+                                SimTime deadline, TxId blocker, uint32_t peer,
+                                std::function<void()> timed_out,
+                                std::function<void(SimTime)> retry) {
+  if (deadline == 0) {
+    deadline = sim_->Now() + options_.lock_wait_timeout;
+  }
+  ++stats_.lock_waits;
+  WTRACE(sim_->Now(), TraceKind::kLockWait, tid, options_.site, blocker, peer);
+  if (locks_.waiter(tid) != nullptr) {
     // Defensive: never stack two waiters under one tid (the old one's timer
     // would resume the new entry early). Callers guard against this; if it
     // happens anyway, the superseded waiter resolves as timed out.
     ResumeLockWaiter(tid, true);
   }
-  LockWaiter& w = lock_waiters_[tid];
-  w.tid = tid;
-  w.priority = priority;
-  w.oids = std::move(oids);
-  w.deadline = deadline;
-  w.resume = std::move(resume);
-  for (const auto& oid : w.oids) {
-    auto lock = locks_.find(oid);
-    if (lock != locks_.end() && lock->second != tid) {
-      lock_waitlist_[oid].push_back(tid);
-    }
-  }
+  LockTable::Waiter& w = locks_.Park(
+      tid, priority, std::move(oids),
+      [this, deadline, timed_out = std::move(timed_out), retry = std::move(retry)](bool expired) {
+        if (expired) {
+          ++stats_.lock_wait_timeouts;
+          timed_out();
+          return;
+        }
+        retry(deadline);
+      });
   SimDuration delay = deadline > sim_->Now() ? deadline - sim_->Now() : 0;
-  w.timeout_event = sim_->After(delay, Guard([this, tid]() {
-                                  auto it = lock_waiters_.find(tid);
-                                  if (it == lock_waiters_.end()) {
-                                    return;
-                                  }
-                                  it->second.timeout_event = 0;
-                                  ResumeLockWaiter(tid, true);
-                                }));
+  w.timer = sim_->After(delay, Guard([this, tid]() {
+                          LockTable::Waiter* waiter = locks_.waiter(tid);
+                          if (waiter != nullptr) {
+                            waiter->timer = 0;
+                            ResumeLockWaiter(tid, true);
+                          }
+                        }));
 }
 
 void WalterServer::ResumeLockWaiter(TxId tid, bool timed_out) {
-  auto it = lock_waiters_.find(tid);
-  if (it == lock_waiters_.end()) {
+  std::optional<LockTable::Waiter> w = locks_.Unpark(tid);
+  if (!w) {
     return;
   }
-  if (it->second.timeout_event != 0) {
-    sim_->Cancel(it->second.timeout_event);
+  if (w->timer != 0) {
+    sim_->Cancel(w->timer);
   }
-  for (const auto& oid : it->second.oids) {
-    auto wl = lock_waitlist_.find(oid);
-    if (wl != lock_waitlist_.end()) {
-      std::erase(wl->second, tid);
-      if (wl->second.empty()) {
-        lock_waitlist_.erase(wl);
-      }
-    }
-  }
-  auto resume = std::move(it->second.resume);
-  lock_waiters_.erase(it);
-  resume(timed_out);
+  w->resume(timed_out);
 }
 
 void WalterServer::WakeLockWaiters() {
   wake_scheduled_ = false;
-  std::vector<TxId> tids;
-  tids.swap(pending_wakes_);
-  std::sort(tids.begin(), tids.end());
-  tids.erase(std::unique(tids.begin(), tids.end()), tids.end());
-  // Resume oldest-first (priority, tid): the deterministic grant order that
-  // matches the wound-wait age ordering.
-  std::vector<std::pair<uint64_t, TxId>> order;
-  order.reserve(tids.size());
-  for (TxId tid : tids) {
-    auto it = lock_waiters_.find(tid);
-    if (it != lock_waiters_.end()) {
-      order.emplace_back(it->second.priority, tid);
-    }
-  }
-  std::sort(order.begin(), order.end());
-  for (const auto& [priority, tid] : order) {
+  for (TxId tid : locks_.TakeWakes()) {
     ResumeLockWaiter(tid, false);
   }
 }
@@ -1928,10 +1787,10 @@ void WalterServer::TryCommitRemotes() {
   }
   for (SiteId j = 0; j < options_.num_sites; ++j) {
     if (j != options_.site && advanced[j]) {
-      if (store_.has_watermarks()) {
+      if (locks_.has_watermarks()) {
         // Versions at or below the new committed frontier are in the local
         // store now; their watermarks have done their job.
-        size_t cleared = store_.ClearVisibilityWatermarks(j, committed_vts_.at(j));
+        size_t cleared = locks_.ClearWatermarks(j, committed_vts_.at(j));
         if (cleared > 0) {
           stats_.watermarks_cleared += cleared;
           WTRACE(sim_->Now(), TraceKind::kWatermarkClear, 0, options_.site, cleared, j);
@@ -2303,7 +2162,7 @@ void WalterServer::AnswerRemoteRead(RemoteReadRequest req, RpcEndpoint::ReplyFn 
                                     uint32_t park_attempt) {
   {
     RemoteReadResponse resp;
-    bool wm_blocked = store_.has_watermarks() && store_.WatermarkBlocksRead(req.oid, req.vts);
+    bool wm_blocked = locks_.WatermarkBlocksRead(req.oid, req.vts);
     if (wm_blocked && req.mode == ConsistencyMode::kNmsi) {
       // NMSI: answer from the latest applied version instead of waiting for
       // the decided one — the permitted non-monotonic read, remote edition.
@@ -2376,7 +2235,7 @@ void WalterServer::AnswerRemoteRead(RemoteReadRequest req, RpcEndpoint::ReplyFn 
 // Failure handling and maintenance (Sections 5.7 and 6)
 // ---------------------------------------------------------------------------
 
-std::string WalterServer::BuildCheckpointImage() const {
+void WalterServer::CheckpointRetaining(const VectorTimestamp& wal_floors) {
   ByteWriter body;
   body.PutString(store_.SerializeCheckpoint());
   body.PutVts(got_vts_);
@@ -2390,28 +2249,8 @@ std::string WalterServer::BuildCheckpointImage() const {
   ByteWriter w;
   w.PutU32(kCheckpointMagic);
   w.PutU32(Crc32(body.data()));
-  std::string out = w.Take();
-  out += body.data();
-  return out;
-}
-
-void WalterServer::Checkpoint() {
-  checkpoint_image_ = BuildCheckpointImage();
-  checkpoint_wal_base_ = store_.wal().base() + store_.wal().size();
-  if (storage_hook_) {
-    storage_hook_(StorageEvent::kCheckpoint, checkpoint_wal_base_);
-    if (crashed_) {
-      return;  // killed between the checkpoint write and the truncation
-    }
-  }
-  store_.wal().TruncatePrefix(checkpoint_wal_base_);
-  if (storage_hook_) {
-    storage_hook_(StorageEvent::kWalTruncate, checkpoint_wal_base_);
-  }
-}
-
-void WalterServer::CheckpointRetaining(const VectorTimestamp& wal_floors) {
-  checkpoint_image_ = BuildCheckpointImage();
+  checkpoint_image_ = w.Take();
+  checkpoint_image_ += body.data();
   checkpoint_wal_base_ = store_.wal().base() + store_.wal().size();
   if (storage_hook_) {
     storage_hook_(StorageEvent::kCheckpoint, checkpoint_wal_base_);
@@ -2527,7 +2366,8 @@ void WalterServer::Restore(const DurableImage& image) {
            static_cast<uint64_t>(CorruptKind::kTornWalTail),
            static_cast<uint32_t>(store_.wal().size()));
   }
-  // A rejected checkpoint is not re-adopted: the next Checkpoint() overwrites.
+  // A rejected checkpoint is not re-adopted: the next CheckpointRetaining()
+  // overwrites it.
   checkpoint_image_ = checkpoint_body.empty() ? std::string() : image.checkpoint;
   checkpoint_wal_base_ = store_.checkpoint_frontier();
   got_vts_ = checkpoint_got;
@@ -2631,24 +2471,18 @@ void WalterServer::Restore(const DurableImage& image) {
   durable_wal_bytes_ = store_.wal().base() + store_.wal().size();
   backfill_target_ = curr_seqno_;
 
-  // Volatile commit-protocol state does not survive a crash: locks, parked
-  // waiters and watermark bookkeeping start empty (RestoreCheckpoint already
-  // dropped the store-side watermarks). Timers in flight find their waiter
+  // Volatile commit-protocol state does not survive a crash: the lock table
+  // (locks, parked waiters, watermarks) starts fresh, and the propagation
+  // backstop re-protects decided versions. Timers in flight find their waiter
   // gone and no-op.
-  locks_.clear();
-  lock_owners_.clear();
-  for (auto& [tid, waiter] : lock_waiters_) {
-    if (waiter.timeout_event != 0) {
-      sim_->Cancel(waiter.timeout_event);
+  for (const auto& [tid, waiter] : locks_.waiters()) {
+    if (waiter.timer != 0) {
+      sim_->Cancel(waiter.timer);
     }
   }
-  lock_waiters_.clear();
-  lock_waitlist_.clear();
-  pending_wakes_.clear();
+  locks_ = LockTable();
   wake_scheduled_ = false;
   parked_commits_.clear();
-  watermark_installed_.clear();
-  watermark_query_in_flight_.clear();
   // Held clock votes died with the process: their reply closures point at RPC
   // call ids from before the crash. Coordinators time out and retry/abort.
   held_prepares_.clear();
@@ -2721,7 +2555,7 @@ void WalterServer::DiscardNonSurviving(SiteId s, uint64_t survive_through) {
   store_.RemoveVersionsFrom(s, survive_through);
   // Watermarks for discarded versions point at commits that no longer exist;
   // parked readers must not wait for them forever.
-  store_.DropWatermarksFrom(s, survive_through);
+  locks_.DropWatermarksFrom(s, survive_through);
   pending_in_[s].clear();
   auto& uncommitted = uncommitted_remote_[s];
   for (auto it = uncommitted.begin(); it != uncommitted.end();) {
@@ -2816,96 +2650,32 @@ void WalterServer::HandleTxStatus(const Message& msg, RpcEndpoint::ReplyFn reply
 }
 
 void WalterServer::SweepStaleLocks() {
-  SimDuration stale_after = 2 * options_.resend_timeout;
-  for (auto& [tid, owner] : lock_owners_) {
-    if (owner.coordinator == options_.site || owner.query_in_flight ||
-        sim_->Now() - owner.acquired < stale_after) {
-      continue;
-    }
-    owner.query_in_flight = true;
-    ++stats_.stale_lock_queries;
-    TxStatusRequest req{tid};
+  // A stale lock's coordinator may have crashed mid-2PC; a stale watermark's
+  // origin may have lost the record (crash after the decision, before the
+  // flush reached a survivable point), parking readers forever. Ask either for
+  // the transaction's fate and drop what it reports aborted. Committed: the
+  // record will propagate here; pending: 2PC still in progress (impossible
+  // for a watermark, treated like committed); unreachable: keep (conservative).
+  for (const LockTable::StaleQuery& q :
+       locks_.TakeStale(sim_->Now(), 2 * options_.resend_timeout, options_.site)) {
+    ++(q.watermark ? stats_.stale_watermark_queries : stats_.stale_lock_queries);
+    TxStatusRequest req{q.tid};
     endpoint_.Call(
-        Address{owner.coordinator, kWalterPort}, kTxStatus, req.Serialize(),
-        [this, tid](Status status, const Message& m) {
-          auto it = lock_owners_.find(tid);
-          if (it == lock_owners_.end()) {
-            return;  // released meanwhile (propagation, decision, or abort)
+        Address{q.ask, kWalterPort}, kTxStatus, req.Serialize(),
+        [this, q](Status status, const Message& m) {
+          if (!locks_.EndQuery(q) || !status.ok() ||
+              TxStatusResponse::Deserialize(m.payload).outcome != TxStatusOutcome::kTxAborted) {
+            return;  // released meanwhile, or not known dead
           }
-          it->second.query_in_flight = false;
-          if (!status.ok()) {
-            return;  // coordinator unreachable: keep the lock (conservative)
+          if (q.watermark) {
+            locks_.DropWatermarksOfTx(q.tid);
+            WTRACE(sim_->Now(), TraceKind::kWatermarkClear, q.tid, options_.site, 0);
+          } else {
+            ReleaseLocks(q.tid);  // orphaned prepare: the transaction is dead
           }
-          TxStatusResponse resp = TxStatusResponse::Deserialize(m.payload);
-          if (resp.outcome == TxStatusOutcome::kTxAborted) {
-            ReleaseLocks(tid);  // orphaned prepare: the transaction is dead
-          }
-          // kTxCommitted: keep until the transaction propagates here;
-          // kTxPending: 2PC still in progress.
         },
         options_.resend_timeout);
   }
-  SweepStaleWatermarks();
-}
-
-void WalterServer::SweepStaleWatermarks() {
-  if (!store_.has_watermarks()) {
-    return;
-  }
-  // A watermark normally clears when its record propagates and commits here.
-  // If the origin lost the record (crash after decision, before flush reached
-  // a survivable point) the watermark would park readers forever — ask the
-  // origin for the transaction's fate, exactly like the stale-lock sweep.
-  SimDuration stale_after = 2 * options_.resend_timeout;
-  for (const auto& [tid, version] : store_.WatermarkTxs()) {
-    if (version.site == options_.site || version.site >= options_.num_sites) {
-      store_.DropWatermarksOfTx(tid);  // cannot happen by construction; self-heal
-      continue;
-    }
-    auto installed = watermark_installed_.try_emplace(tid, sim_->Now()).first;
-    if (sim_->Now() - installed->second < stale_after ||
-        watermark_query_in_flight_.contains(tid)) {
-      continue;
-    }
-    watermark_query_in_flight_.insert(tid);
-    ++stats_.stale_watermark_queries;
-    TxStatusRequest req{tid};
-    endpoint_.Call(
-        Address{version.site, kWalterPort}, kTxStatus, req.Serialize(),
-        [this, tid](Status status, const Message& m) {
-          watermark_query_in_flight_.erase(tid);
-          if (!status.ok()) {
-            return;  // origin unreachable: keep the watermark (conservative)
-          }
-          TxStatusResponse resp = TxStatusResponse::Deserialize(m.payload);
-          if (resp.outcome == TxStatusOutcome::kTxAborted) {
-            if (store_.DropWatermarksOfTx(tid)) {
-              WTRACE(sim_->Now(), TraceKind::kWatermarkClear, tid, options_.site, 0);
-            }
-            watermark_installed_.erase(tid);
-          }
-          // kTxCommitted: propagation will clear it; kTxPending: impossible
-          // (the decision was made), treated like committed.
-        },
-        options_.resend_timeout);
-  }
-  // Drop aging entries whose watermarks are gone (cleared by propagation).
-  std::erase_if(watermark_installed_, [this](const auto& kv) {
-    return !watermark_query_in_flight_.contains(kv.first) && !WatermarkStillLive(kv.first);
-  });
-}
-
-bool WalterServer::WatermarkStillLive(TxId tid) const {
-  for (const auto& [wtid, version] : store_.WatermarkTxs()) {
-    if (wtid == tid) {
-      return true;
-    }
-  }
-  return false;
-}
-
-size_t WalterServer::GarbageCollect(const VectorTimestamp& stable) {
-  return store_.GarbageCollect(stable);
 }
 
 VectorTimestamp WalterServer::StabilityFloor(bool include_pins) const {
@@ -2919,12 +2689,12 @@ VectorTimestamp WalterServer::StabilityFloor(bool include_pins) const {
       floor.MergeMin(*pins);
     }
   }
-  if (store_.has_watermarks()) {
+  if (locks_.has_watermarks()) {
     // A watermarked version has a parked reader waiting to see it; the GC
     // frontier must not fold histories past it, or the reader would resume
     // onto a folded base.
     for (SiteId s = 0; s < options_.num_sites; ++s) {
-      if (auto min = store_.MinWatermarkSeqno(s)) {
+      if (auto min = locks_.MinWatermarkSeqno(s)) {
         if (floor.at(s) >= *min) {
           floor.set(s, *min - 1);
         }
@@ -2986,7 +2756,7 @@ void WalterServer::ExportMetrics(MetricsRegistry& metrics) const {
   metrics.Set("server.commit_dedups", s, static_cast<double>(stats_.commit_dedups));
   metrics.Set("server.op_dedups", s, static_cast<double>(stats_.op_dedups));
   metrics.Set("server.active_txs", s, static_cast<double>(active_.size()));
-  metrics.Set("server.held_locks", s, static_cast<double>(locks_.size()));
+  metrics.Set("server.held_locks", s, static_cast<double>(locks_.lock_count()));
   metrics.Set("server.committed_seqno", s, static_cast<double>(committed_vts_.at(s)));
   metrics.Set("server.ds_durable_through", s, static_cast<double>(ds_durable_through_));
   metrics.Set("server.visible_through", s, static_cast<double>(visible_through_));
@@ -3028,7 +2798,7 @@ void WalterServer::ExportMetrics(MetricsRegistry& metrics) const {
   metrics.Set("server.admitted_inflight_peak", s,
               static_cast<double>(stats_.admitted_inflight_peak));
   metrics.Set("server.cpu_queue_peak", s, static_cast<double>(stats_.cpu_queue_peak));
-  metrics.Set("server.live_watermarks", s, static_cast<double>(store_.watermark_count()));
+  metrics.Set("server.live_watermarks", s, static_cast<double>(locks_.watermark_count()));
   metrics.Set("server.lock_waits", s, static_cast<double>(stats_.lock_waits));
   metrics.Set("server.lock_wait_timeouts", s, static_cast<double>(stats_.lock_wait_timeouts));
   metrics.Set("server.lock_wounds", s, static_cast<double>(stats_.lock_wounds));

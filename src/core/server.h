@@ -15,8 +15,11 @@
 //  - write-ahead logging with group commit, checkpointing, and server
 //    replacement recovery (Sections 5.7 and 6).
 //
-// Single-threaded: all handlers run on the simulator's event loop; "atomic
-// regions" of the paper's pseudocode are single events here.
+// Single-threaded per server: every handler runs on the server's own event
+// loop — the cluster simulator's, or in threaded mode the owning executor's —
+// so "atomic regions" of the paper's pseudocode are single events here. The
+// participant's locks, lock waits and visibility watermarks live in a
+// LockTable (src/core/lock_table.h); the server keeps the RPCs and timers.
 #ifndef SRC_CORE_SERVER_H_
 #define SRC_CORE_SERVER_H_
 
@@ -35,6 +38,7 @@
 #include "src/common/types.h"
 #include "src/common/update.h"
 #include "src/core/container.h"
+#include "src/core/lock_table.h"
 #include "src/core/messages.h"
 #include "src/core/perf_model.h"
 #include "src/net/network.h"
@@ -171,12 +175,14 @@ class WalterServer {
   const Options& options() const { return options_; }
   // Currently held slow-commit locks / server-side transaction buffers (leak
   // detectors in chaos tests assert both drain after heal).
-  size_t lock_count() const { return locks_.size(); }
+  size_t lock_count() const { return locks_.lock_count(); }
   size_t active_tx_count() const { return active_.size(); }
   // Live visibility watermarks / parked lock waiters (same leak-canary role as
   // lock_count(): both must drain to zero once traffic stops and heals settle).
-  size_t watermark_count() const { return store_.watermark_count(); }
-  size_t lock_waiter_count() const { return lock_waiters_.size(); }
+  size_t watermark_count() const { return locks_.watermark_count(); }
+  size_t lock_waiter_count() const { return locks_.waiter_count(); }
+  // The participant's lock table (tests plant watermarks through it).
+  LockTable& lock_table() { return locks_; }
   // Parked reads / gap-parked commits / admitted-unanswered ops (same leak-
   // canary role: all must drain to zero once traffic stops and heals settle).
   size_t parked_read_count() const { return parked_reads_.size(); }
@@ -218,10 +224,6 @@ class WalterServer {
     std::string wal_bytes;
     size_t wal_base = 0;
   };
-
-  // Takes a checkpoint (Section 6): object state + GotVTS + still-replicating
-  // local transactions; allows WAL prefix truncation afterwards.
-  void Checkpoint();
 
   // Simulates a server crash: endpoint down, volatile state untouched but
   // unreachable. The durable image can seed a replacement server.
@@ -268,11 +270,6 @@ class WalterServer {
   void SetSiteActive(SiteId s, bool active);
   bool IsSiteActive(SiteId s) const { return site_active_[s]; }
 
-  // Maintenance ---------------------------------------------------------------
-  // Folds object histories below the current global stability frontier (the
-  // entry-wise minimum everyone has committed, i.e. this site's GotVTS floor).
-  size_t GarbageCollect(const VectorTimestamp& stable);
-
   // GC / checkpoint driving (the stability-frontier subsystem) ---------------
   // Per-origin seqnos durably logged AND applied here. Rollback-proof: a crash
   // followed by Restore replays the durable WAL, so the restored watermarks
@@ -296,10 +293,11 @@ class WalterServer {
   // frontier). Returns entries folded; traces kGcRun.
   size_t DriveGc(const VectorTimestamp& frontier);
 
-  // Checkpoint variant that truncates the WAL only up to what every in-config
+  // Takes a checkpoint (Section 6): object state + GotVTS + still-replicating
+  // local transactions. Then truncates the WAL only up to what every in-config
   // site has durably applied (per-origin `wal_floors`), so resyncs and §5.7
-  // gap-filling can still be served from the log. The no-arg Checkpoint()
-  // keeps the original truncate-everything semantics for manual callers.
+  // gap-filling can still be served from the log; all-maximum floors truncate
+  // everything the checkpoint covers.
   void CheckpointRetaining(const VectorTimestamp& wal_floors);
 
   // Drops commit/abort dedup outcomes older than tx_outcome_retention whose
@@ -497,6 +495,7 @@ class WalterServer {
   void HandlePrepare(const Message& msg, RpcEndpoint::ReplyFn reply);
   void HandleAbort2pc(const Message& msg);
   void HandleTxStatus(const Message& msg, RpcEndpoint::ReplyFn reply);
+  // Takes tid's locks unless it already holds them (a re-affirmed duplicate).
   void LockAll(TxId tid, const std::vector<ObjectId>& oids, SiteId coordinator,
                const std::vector<ObjectId>& read_oids);
   void ReleaseLocks(TxId tid);
@@ -505,27 +504,25 @@ class WalterServer {
   // stale watermarks (decision origin crashed before the record became
   // durable) and drops the ones the origin reports aborted.
   void SweepStaleLocks();
-  // Stale-watermark half of the sweep (see SweepStaleLocks); separate so a
-  // sweep with no watermarks installed pays one has_watermarks() check only.
-  void SweepStaleWatermarks();
-  bool WatermarkStillLive(TxId tid) const;
 
   // --- early lock release (the Figure-13 lock-lifetime split) ---
-  // Participants release 2PC prepare locks when the coordinator's commit
-  // decision arrives, installing per-object visibility watermarks that park
-  // readers until the record commits here. Prepares and fast commits blocked
-  // on a held lock wait with wound-wait ordering instead of aborting;
-  // all-co-sited 2PCs acquire sites in global object order; and remote
-  // records from a co-sited origin commit without waiting for disaster-safe
-  // durability (co-located shards fail together — the same §5.7 single-shard
-  // caveat sharding already documents).
-  // Classifies a prepare-style lock acquisition: grant, permanent conflict, or
-  // blocked-by-a-live-holder (wait). Runs the wound-wait pass before answering
-  // kWait: strictly younger holders whose 2PC this server coordinates are
-  // wounded. Does not itself take locks.
-  enum class PrepareCheck : uint8_t { kYes, kNo, kWait };
-  PrepareCheck CheckPrepare(TxId tid, const std::vector<ObjectId>& oids,
-                            const VectorTimestamp& vts, uint64_t priority, TxId* blocker);
+  // Participants release 2PC prepare locks at the commit decision and cover
+  // the gap with visibility watermarks (see LockTable). Prepares and fast
+  // commits blocked on a held lock wait with wound-wait ordering instead of
+  // aborting; all-co-sited 2PCs acquire sites in global object order; and
+  // remote records from a co-sited origin commit without waiting for
+  // disaster-safe durability (co-located shards fail together — the same
+  // §5.7 single-shard caveat sharding already documents).
+  // LockTable::Classify with this server's lease checker and clock_commit
+  // flag; counts the clock-commit bypasses.
+  LockTable::Check CheckLocks(TxId tid, const std::vector<ObjectId>& oids,
+                              const VectorTimestamp& vts);
+  // The prepare-side check: CheckLocks, then the wound-wait pass before a
+  // kWait answer — strictly younger holders whose 2PC this server coordinates
+  // are wounded, and *blocker names the first holder left. Takes no locks.
+  LockTable::Verdict CheckPrepare(TxId tid, const std::vector<ObjectId>& oids,
+                                  const VectorTimestamp& vts, uint64_t priority,
+                                  TxId* blocker);
   // Marks a coordinator-local slow commit as wound-aborted and frees its locks;
   // its outstanding vote drives the normal abort path.
   void WoundLocal(const std::shared_ptr<SlowCommitState>& victim, TxId winner);
@@ -552,9 +549,14 @@ class WalterServer {
   void ArmClockRelease();
   void ReleaseDueHeldPrepares();
   void HandleCommitDecision(const Message& msg);
-  // Lock-waiter machinery: park/resume parked prepares and fast commits.
-  void ParkLockWaiter(TxId tid, uint64_t priority, std::vector<ObjectId> oids,
-                      SimTime deadline, std::function<void(bool timed_out)> resume);
+  // The one lock-wait entry (fast commits, local votes, prepares): counts
+  // lock_waits, traces kLockWait (blocker, peer) and parks tid behind the
+  // holders of `oids`. When they release, `retry(deadline)` re-runs the
+  // caller's check; once the deadline passes, lock_wait_timeouts is counted
+  // and `timed_out` runs. deadline 0 starts a fresh lock_wait_timeout.
+  void WaitForLocks(TxId tid, uint64_t priority, std::vector<ObjectId> oids, SimTime deadline,
+                    TxId blocker, uint32_t peer, std::function<void()> timed_out,
+                    std::function<void(SimTime deadline)> retry);
   void ResumeLockWaiter(TxId tid, bool timed_out);
   void WakeLockWaiters();
 
@@ -588,8 +590,6 @@ class WalterServer {
   void SweepIdleTxs();
   // Stamps a settled commit/abort outcome for time-based aging.
   void RecordOutcome(TxId tid);
-  // Shared checkpoint body (Checkpoint / CheckpointRetaining).
-  std::string BuildCheckpointImage() const;
 
   // --- remote reads ---
   void HandleRemoteRead(const Message& msg, RpcEndpoint::ReplyFn reply);
@@ -640,32 +640,8 @@ class WalterServer {
   std::map<uint64_t, LocalCommit> local_commits_;         // own seqno -> commit
   std::unordered_map<TxId, std::shared_ptr<SlowCommitState>> slow_commits_;
 
-  // Locks (slow commit): object -> owning tid, plus reverse index with the
-  // coordinator and acquisition time for the termination protocol.
-  struct LockOwner {
-    std::vector<ObjectId> oids;
-    SiteId coordinator = kNoSite;
-    SimTime acquired = 0;
-    bool query_in_flight = false;
-    // Serializable mode: the transaction's read set (sorted). Oids in here are
-    // locked like the rest but are never written, so the commit decision must
-    // not install visibility watermarks for them.
-    std::vector<ObjectId> read_oids;
-  };
-  std::unordered_map<ObjectId, TxId> locks_;
-  std::unordered_map<TxId, LockOwner> lock_owners_;
-  // Parked lock waiters: a prepare or fast commit blocked on a held lock waits
-  // here until the holder resolves or the wait times out.
-  struct LockWaiter {
-    TxId tid = 0;
-    uint64_t priority = 0;
-    std::vector<ObjectId> oids;  // the full set it needs (re-checked on resume)
-    SimTime deadline = 0;        // absolute; carried across re-parks
-    EventId timeout_event = 0;
-    std::function<void(bool timed_out)> resume;
-  };
-  std::unordered_map<TxId, LockWaiter> lock_waiters_;
-  std::unordered_map<ObjectId, std::vector<TxId>> lock_waitlist_;
+  // The participant's concurrency control: locks, lock waiters, watermarks.
+  LockTable locks_;
   // Clock-ordered path: prepares held until the local clock passes their
   // commit_ts, evaluated in key order. Empty whenever clock_commit is off.
   struct HeldPrepare {
@@ -678,8 +654,7 @@ class WalterServer {
   // earliest one); stale generations fire as no-ops.
   uint64_t clock_timer_gen_ = 0;
   SimTime clock_timer_at_ = -1;  // -1 = no timer armed
-  std::vector<TxId> pending_wakes_;  // tids to resume after the current event
-  bool wake_scheduled_ = false;
+  bool wake_scheduled_ = false;  // a deferred WakeLockWaiters is pending
   // A commit parked before it reached the store: its buffered transaction and
   // reply, keyed by tid so a retransmitted commit can chain onto it.
   struct ParkedCommit {
@@ -701,10 +676,6 @@ class WalterServer {
   // Admitted-but-unanswered client ops (admission control's inflight gauge;
   // stays 0 with admission off).
   size_t admitted_inflight_ = 0;
-  // When each watermark set was installed / which have a kTxStatus probe in
-  // flight (the stale-watermark sweep's bookkeeping).
-  std::unordered_map<TxId, SimTime> watermark_installed_;
-  std::unordered_set<TxId> watermark_query_in_flight_;
   // Commit outcomes by tid, kept past global visibility so a late commit
   // retransmission is answered instead of double-applied; aged out by
   // AgeTxOutcomes. While the record is retained, local_commits_ holds it at

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -105,8 +106,11 @@ std::vector<CensusEntry> RunOnce(const CrashFuzzerOptions& options, const RunPla
         rec.version.seqno == checkpoint_seqno) {
       checkpoint_scheduled = true;
       sim.After(Millis(1), [&cluster, victim]() {
-        if (!cluster.server(victim).crashed()) {
-          cluster.server(victim).Checkpoint();
+        WalterServer& server = cluster.server(victim);
+        if (!server.crashed()) {
+          // All-maximum floors: truncate everything the checkpoint covers.
+          server.CheckpointRetaining(VectorTimestamp(std::vector<uint64_t>(
+              server.options().num_sites, std::numeric_limits<uint64_t>::max())));
         }
       });
     }

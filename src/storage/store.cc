@@ -164,124 +164,6 @@ bool Store::DirtyListConsistent() const {
   return flagged.empty();
 }
 
-void Store::AddVisibilityWatermark(const ObjectId& oid, Version version, TxId tid) {
-  watermarks_[oid].emplace_back(version, tid);
-  WatermarkTx& wtx = watermark_txs_[tid];
-  wtx.version = version;
-  wtx.oids.push_back(oid);
-}
-
-void Store::EraseWatermarkTx(std::unordered_map<TxId, WatermarkTx>::iterator it) {
-  for (const ObjectId& oid : it->second.oids) {
-    auto per_oid = watermarks_.find(oid);
-    if (per_oid == watermarks_.end()) {
-      continue;
-    }
-    std::erase_if(per_oid->second,
-                  [tid = it->first](const auto& wm) { return wm.second == tid; });
-    if (per_oid->second.empty()) {
-      watermarks_.erase(per_oid);
-    }
-  }
-  watermark_txs_.erase(it);
-}
-
-size_t Store::ClearVisibilityWatermarks(SiteId origin, uint64_t through) {
-  size_t cleared = 0;
-  for (auto it = watermark_txs_.begin(); it != watermark_txs_.end();) {
-    auto cur = it++;
-    if (cur->second.version.site == origin && cur->second.version.seqno <= through) {
-      cleared += cur->second.oids.size();
-      EraseWatermarkTx(cur);
-    }
-  }
-  return cleared;
-}
-
-bool Store::DropWatermarksOfTx(TxId tid) {
-  auto it = watermark_txs_.find(tid);
-  if (it == watermark_txs_.end()) {
-    return false;
-  }
-  EraseWatermarkTx(it);
-  return true;
-}
-
-size_t Store::DropWatermarksFrom(SiteId origin, uint64_t after_seqno) {
-  size_t dropped = 0;
-  for (auto it = watermark_txs_.begin(); it != watermark_txs_.end();) {
-    auto cur = it++;
-    if (cur->second.version.site == origin && cur->second.version.seqno > after_seqno) {
-      dropped += cur->second.oids.size();
-      EraseWatermarkTx(cur);
-    }
-  }
-  return dropped;
-}
-
-bool Store::WatermarkBlocksWrite(const ObjectId& oid) const {
-  return !watermarks_.empty() && watermarks_.contains(oid);
-}
-
-bool Store::WatermarkBlocksWrite(const ObjectId& oid, const VectorTimestamp& vts) const {
-  if (watermarks_.empty()) {
-    return false;
-  }
-  auto it = watermarks_.find(oid);
-  if (it == watermarks_.end()) {
-    return false;
-  }
-  for (const auto& [version, tid] : it->second) {
-    if (version.site >= vts.num_sites() || vts.at(version.site) < version.seqno) {
-      return true;  // a decided version the snapshot has NOT seen: real conflict
-    }
-  }
-  return false;
-}
-
-bool Store::WatermarkBlocksRead(const ObjectId& oid, const VectorTimestamp& vts) const {
-  if (watermarks_.empty()) {
-    return false;
-  }
-  auto it = watermarks_.find(oid);
-  if (it == watermarks_.end()) {
-    return false;
-  }
-  for (const auto& [version, tid] : it->second) {
-    if (version.site < vts.num_sites() && vts.at(version.site) >= version.seqno) {
-      return true;  // the snapshot includes the decided version; it is not here yet
-    }
-  }
-  return false;
-}
-
-std::optional<uint64_t> Store::MinWatermarkSeqno(SiteId origin) const {
-  std::optional<uint64_t> min;
-  for (const auto& [tid, wtx] : watermark_txs_) {
-    if (wtx.version.site == origin && (!min || wtx.version.seqno < *min)) {
-      min = wtx.version.seqno;
-    }
-  }
-  return min;
-}
-
-std::vector<std::pair<TxId, Version>> Store::WatermarkTxs() const {
-  std::vector<std::pair<TxId, Version>> out;
-  out.reserve(watermark_txs_.size());
-  for (const auto& [tid, wtx] : watermark_txs_) {
-    out.emplace_back(tid, wtx.version);
-  }
-  return out;
-}
-
-size_t Store::watermark_count() const {
-  size_t n = 0;
-  for (const auto& [oid, wms] : watermarks_) {
-    n += wms.size();
-  }
-  return n;
-}
-
 std::string Store::SerializeCheckpoint() const {
   ByteWriter w;
   w.PutU64(wal_.base() + wal_.size());  // WAL frontier covered by this checkpoint
@@ -305,10 +187,6 @@ std::string Store::SerializeCheckpoint() const {
 void Store::RestoreCheckpoint(std::string_view bytes) {
   histories_.clear();
   dirty_.clear();
-  // Watermarks are volatile like the lock table: a restored server starts
-  // clean and the propagation backstop re-protects the decided versions.
-  watermarks_.clear();
-  watermark_txs_.clear();
   if (bytes.empty()) {
     checkpoint_frontier_ = 0;
     gc_frontier_ = VectorTimestamp();

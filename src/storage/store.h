@@ -1,5 +1,7 @@
 // Store: the per-site storage engine tying together object histories, the
-// write-ahead log and checkpointing (Section 6). Every object stays in memory;
+// write-ahead log and checkpointing (Section 6). Storage only: locks, lock
+// waits and visibility watermarks are the commit participant's volatile state
+// and live in LockTable (src/core/lock_table.h). Every object stays in memory;
 // the paper's object cache with cset-preferring eviction is not modelled.
 //
 // The Walter server drives it with committed TxRecords (its own commits and
@@ -98,45 +100,6 @@ class Store {
   // Full-scan check of that invariant (tests and diagnostics only).
   bool DirtyListConsistent() const;
 
-  // Visibility watermarks (early lock release) ------------------------------
-  // When a 2PC participant releases its prepare locks at the commit decision
-  // (before the committed record propagates back), each previously locked
-  // object carries a watermark: "version `v` of this object is decided but not
-  // yet committed here". Writers treat a watermarked object exactly like a
-  // locked one (any live watermark is a conflict: the decided version is
-  // committed, so the writer's snapshot can never cover it). Readers whose
-  // snapshot covers the decided version park until it commits here and the
-  // watermark clears — the read path takes over the PSI guarantee the lock
-  // used to provide. Volatile, like the lock table: a fresh/restored server
-  // starts with none and the propagation backstop re-protects the objects.
-  void AddVisibilityWatermark(const ObjectId& oid, Version version, TxId tid);
-  // Drops every watermark of `origin` with seqno <= through (those versions
-  // are committed here now). Returns watermarks dropped.
-  size_t ClearVisibilityWatermarks(SiteId origin, uint64_t through);
-  // Drops all watermarks of one transaction (stale-watermark sweep: the
-  // decision's origin reports the tid aborted/unknown). Returns true if any.
-  bool DropWatermarksOfTx(TxId tid);
-  // Drops watermarks of `origin` with seqno > after_seqno (§5.7 discard: the
-  // decided versions no longer exist). Returns watermarks dropped.
-  size_t DropWatermarksFrom(SiteId origin, uint64_t after_seqno);
-  // Any live watermark on oid blocks a writer (coverage-independent, see above).
-  bool WatermarkBlocksWrite(const ObjectId& oid) const;
-  // Snapshot-aware variant (clock-ordered commit path): a watermark blocks the
-  // writer only if some decided version on oid is NOT in `vts` — a version the
-  // snapshot already Sees is history, not a conflict.
-  bool WatermarkBlocksWrite(const ObjectId& oid, const VectorTimestamp& vts) const;
-  // A watermark whose decided version `vts` covers blocks a reader: the
-  // snapshot includes the version but the local history does not hold it yet.
-  bool WatermarkBlocksRead(const ObjectId& oid, const VectorTimestamp& vts) const;
-  // Smallest watermarked seqno of `origin` (GC belt: the frontier must not
-  // fold past a version a parked reader is still waiting to see).
-  std::optional<uint64_t> MinWatermarkSeqno(SiteId origin) const;
-  // Distinct transactions with live watermarks (for the stale sweep).
-  std::vector<std::pair<TxId, Version>> WatermarkTxs() const;
-  bool has_watermarks() const { return !watermark_txs_.empty(); }
-  // Total live per-object watermarks (leak canary, like lock_count()).
-  size_t watermark_count() const;
-
   // Serializes all object state (the "index" of Section 6) plus the WAL
   // frontier it covers.
   std::string SerializeCheckpoint() const;
@@ -157,12 +120,6 @@ class Store {
   const Wal& wal() const { return wal_; }
 
  private:
-  struct WatermarkTx {
-    Version version;
-    std::vector<ObjectId> oids;
-  };
-  // Removes one transaction's watermarks from both indexes.
-  void EraseWatermarkTx(std::unordered_map<TxId, WatermarkTx>::iterator it);
   // Puts `history` on the dirty list unless it is already there.
   void MarkDirty(ObjectHistory* history);
 
@@ -173,10 +130,6 @@ class Store {
   Wal wal_;
   size_t checkpoint_frontier_ = 0;
   VectorTimestamp gc_frontier_;
-  // Visibility watermarks, indexed both ways: per object (write/read checks)
-  // and per transaction (clear/drop).
-  std::unordered_map<ObjectId, std::vector<std::pair<Version, TxId>>> watermarks_;
-  std::unordered_map<TxId, WatermarkTx> watermark_txs_;
 };
 
 }  // namespace walter

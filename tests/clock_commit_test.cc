@@ -189,7 +189,8 @@ TEST(ClockCommitTest, SnapshotCoveredWatermarkBypass) {
     WalterServer& server = cluster.server(0);
     uint64_t seqno = server.committed_vts().at(0);
     ASSERT_GE(seqno, 1u);
-    server.store().AddVisibilityWatermark(Oid(0, 1), Version{0, seqno}, /*tid=*/777777);
+    server.lock_table().AddWatermark(
+        Oid(0, 1), Version{0, seqno}, /*tid=*/777777, cluster.sim().Now());
 
     Status s = CommitWrite(cluster, client, Oid(0, 1), "v2");
     if (clock_on) {
@@ -199,7 +200,7 @@ TEST(ClockCommitTest, SnapshotCoveredWatermarkBypass) {
       EXPECT_EQ(s.code(), StatusCode::kAborted);
       EXPECT_EQ(server.stats().clock_conflict_bypasses, 0u);
     }
-    server.store().DropWatermarksOfTx(777777);
+    server.lock_table().DropWatermarksOfTx(777777);
     cluster.RunUntilIdle();
   }
 }
@@ -277,8 +278,8 @@ TEST(ConsistencyModeTest, NmsiReadServesThroughWatermark) {
   ASSERT_TRUE(CommitWrite(cluster, client, Oid(0, 1), "old").ok());
 
   WalterServer& server = cluster.server(0);
-  server.store().AddVisibilityWatermark(Oid(0, 1), Version{0, server.committed_vts().at(0)},
-                                        /*tid=*/555555);
+  server.lock_table().AddWatermark(Oid(0, 1), Version{0, server.committed_vts().at(0)},
+                                   /*tid=*/555555, cluster.sim().Now());
 
   std::optional<std::string> value =
       ReadOnce(cluster, client, Oid(0, 1), ConsistencyMode::kNmsi);
@@ -286,7 +287,7 @@ TEST(ConsistencyModeTest, NmsiReadServesThroughWatermark) {
   EXPECT_GE(server.stats().nmsi_reads_unparked, 1u);
   EXPECT_EQ(server.stats().watermark_read_waits, 0u);
 
-  server.store().DropWatermarksOfTx(555555);
+  server.lock_table().DropWatermarksOfTx(555555);
   cluster.RunUntilIdle();
 }
 

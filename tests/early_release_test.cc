@@ -2,8 +2,8 @@
 // PSI over seeded cross-shard workloads at high cross-shard fractions, the
 // stale-lock-sweep interplay, coordinator crash after the commit decision,
 // the GC stability-floor belt for watermarked versions, lock waits behind a
-// holder that cannot be wounded, and the clock-commit watermark bypass at a
-// participant.
+// holder that cannot be wounded, the clock-commit watermark bypass at a
+// participant, and the LockTable itself stepped without a simulator.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -14,6 +14,7 @@
 
 #include "src/config/shard_map.h"
 #include "src/core/cluster.h"
+#include "src/core/lock_table.h"
 #include "src/obs/watchdog.h"
 #include "src/psi/checker.h"
 
@@ -270,52 +271,215 @@ TEST(EarlyReleaseGcTest, StabilityFloorStopsBelowWatermarkedVersion) {
   // Normal case: the decided version is ahead of this server's committed
   // frontier, so the floor already sits below it and stays put.
   Version ahead{origin, committed_at_origin + 3};
-  server.store().AddVisibilityWatermark(Oid(1, 98), ahead, /*tid=*/111111);
+  server.lock_table().AddWatermark(Oid(1, 98), ahead, /*tid=*/111111, cluster.sim().Now());
   EXPECT_EQ(server.StabilityFloor().at(origin), before.at(origin));
   EXPECT_LT(server.StabilityFloor().at(origin), ahead.seqno);
-  server.store().DropWatermarksOfTx(111111);
+  server.lock_table().DropWatermarksOfTx(111111);
 
   // Defensive case: a watermark at (or below) the floor caps the floor at
   // seqno - 1, so GC can never fold the version a parked reader waits on.
   Version at_floor{origin, before.at(origin)};
-  server.store().AddVisibilityWatermark(Oid(1, 99), at_floor, /*tid=*/123456);
+  server.lock_table().AddWatermark(Oid(1, 99), at_floor, /*tid=*/123456, cluster.sim().Now());
   VectorTimestamp with_watermark = server.StabilityFloor();
   EXPECT_EQ(with_watermark.at(origin), at_floor.seqno - 1)
       << "floor must stop below the watermarked version";
 
   // Clearing the watermark (as remote commit would) releases the belt.
-  server.store().DropWatermarksOfTx(123456);
+  server.lock_table().DropWatermarksOfTx(123456);
   EXPECT_EQ(server.StabilityFloor().at(origin), before.at(origin));
 }
 
-// Watermark write/read blocking semantics at the store level: any live
-// watermark blocks writers; readers are blocked only when their snapshot
-// covers the decided version.
-TEST(EarlyReleaseStoreTest, WatermarkBlockingSemantics) {
-  Store store;
-  ObjectId oid = Oid(7, 1);
-  EXPECT_FALSE(store.WatermarkBlocksWrite(oid));
+// --- the lock table, stepped directly (no simulator) ------------------------
 
-  store.AddVisibilityWatermark(oid, Version{2, 10}, /*tid=*/42);
-  EXPECT_TRUE(store.WatermarkBlocksWrite(oid));
-  EXPECT_FALSE(store.WatermarkBlocksWrite(Oid(7, 2)));
+VectorTimestamp Vts(std::vector<uint64_t> counts) { return VectorTimestamp(std::move(counts)); }
+
+// Watermark write/read blocking semantics: any live watermark blocks writers;
+// readers are blocked only when their snapshot covers the decided version.
+TEST(LockTableTest, WatermarkBlockingSemantics) {
+  LockTable table;
+  ObjectId oid = Oid(7, 1);
+  EXPECT_FALSE(table.WatermarkBlocksWrite(oid));
+
+  table.AddWatermark(oid, Version{2, 10}, /*tid=*/42, /*now=*/0);
+  EXPECT_TRUE(table.WatermarkBlocksWrite(oid));
+  EXPECT_FALSE(table.WatermarkBlocksWrite(Oid(7, 2)));
 
   VectorTimestamp covers(4);
   covers.set(2, 10);
   VectorTimestamp below(4);
   below.set(2, 9);
-  EXPECT_TRUE(store.WatermarkBlocksRead(oid, covers));
-  EXPECT_FALSE(store.WatermarkBlocksRead(oid, below));
+  EXPECT_TRUE(table.WatermarkBlocksRead(oid, covers));
+  EXPECT_FALSE(table.WatermarkBlocksRead(oid, below));
 
-  EXPECT_EQ(store.MinWatermarkSeqno(2).value_or(0), 10u);
-  EXPECT_FALSE(store.MinWatermarkSeqno(1).has_value());
+  EXPECT_EQ(table.MinWatermarkSeqno(2).value_or(0), 10u);
+  EXPECT_FALSE(table.MinWatermarkSeqno(1).has_value());
 
   // Clearing through seqno 9 keeps it; through 10 drops it.
-  EXPECT_EQ(store.ClearVisibilityWatermarks(2, 9), 0u);
-  EXPECT_TRUE(store.WatermarkBlocksWrite(oid));
-  EXPECT_EQ(store.ClearVisibilityWatermarks(2, 10), 1u);
-  EXPECT_FALSE(store.WatermarkBlocksWrite(oid));
-  EXPECT_EQ(store.watermark_count(), 0u);
+  EXPECT_EQ(table.ClearWatermarks(2, 9), 0u);
+  EXPECT_TRUE(table.WatermarkBlocksWrite(oid));
+  EXPECT_EQ(table.ClearWatermarks(2, 10), 1u);
+  EXPECT_FALSE(table.WatermarkBlocksWrite(oid));
+  EXPECT_EQ(table.watermark_count(), 0u);
+}
+
+// A requester blocked by several holders wounds exactly the distinct ones
+// this server coordinates that are strictly younger in (priority, tid) order:
+// an equal priority falls to the tid.
+TEST(LockTableTest, WoundCandidatesBreakTiesByTid) {
+  Store store;
+  LockTable table;
+  table.Lock(/*tid=*/5, {Oid(1, 1)}, /*coordinator=*/0, {}, /*now=*/0);
+  table.Lock(/*tid=*/7, {Oid(1, 2), Oid(1, 3)}, 0, {}, 0);
+  table.Lock(/*tid=*/9, {Oid(1, 4)}, /*coordinator=*/2, {}, 0);
+  std::vector<ObjectId> oids = {Oid(1, 1), Oid(1, 2), Oid(1, 3), Oid(1, 4), Oid(1, 5)};
+  LockTable::Check check = table.Classify(/*tid=*/6, oids, Vts({0, 0, 0}), false, store, {});
+  ASSERT_EQ(check.verdict, LockTable::Verdict::kWait);
+  EXPECT_EQ(check.blockers, (std::vector<TxId>{5, 7, 7, 9}));
+
+  // 5 and 7 are coordinated here at priority 10; 9's coordinator is elsewhere.
+  auto priority_of = [](TxId holder) -> std::optional<uint64_t> {
+    return holder == 9 ? std::nullopt : std::optional<uint64_t>(10);
+  };
+  EXPECT_EQ(LockTable::WoundCandidates(6, 10, check.blockers, priority_of),
+            (std::vector<TxId>{7}));  // (10, 6) beats (10, 7), not (10, 5)
+  EXPECT_EQ(LockTable::WoundCandidates(6, 9, check.blockers, priority_of),
+            (std::vector<TxId>{5, 7}));  // strictly older than both, each once
+  EXPECT_TRUE(LockTable::WoundCandidates(6, 11, check.blockers, priority_of).empty());
+
+  // A wounded holder frees all its locks at once.
+  EXPECT_EQ(table.Release(7), std::optional<size_t>(2));
+  EXPECT_FALSE(table.Holds(7));
+  EXPECT_TRUE(table.Holds(5));
+}
+
+// Released locks wake their waiters oldest first — (priority, tid), each once —
+// and a waiter that left the queue meanwhile is not woken.
+TEST(LockTableTest, WakesOldestFirst) {
+  LockTable table;
+  table.Lock(/*tid=*/1, {Oid(1, 1), Oid(1, 2)}, 0, {}, 0);
+  auto noop = [](bool) {};
+  table.Park(/*tid=*/30, /*priority=*/5, {Oid(1, 1)}, noop);
+  table.Park(/*tid=*/20, /*priority=*/5, {Oid(1, 1), Oid(1, 2)}, noop);
+  table.Park(/*tid=*/10, /*priority=*/7, {Oid(1, 2)}, noop);
+  table.Park(/*tid=*/40, /*priority=*/1, {Oid(1, 1)}, noop);
+  table.Park(/*tid=*/50, /*priority=*/0, {Oid(1, 9)}, noop);  // nothing held: never woken
+  EXPECT_FALSE(table.has_wakes());
+
+  EXPECT_EQ(table.Release(1), std::optional<size_t>(2));
+  EXPECT_TRUE(table.has_wakes());
+  ASSERT_TRUE(table.Unpark(40).has_value());  // resolved before the wake ran
+  EXPECT_EQ(table.TakeWakes(), (std::vector<TxId>{20, 30, 10}));
+  EXPECT_FALSE(table.has_wakes());
+  EXPECT_EQ(table.waiter_count(), 4u);  // waking is the caller's Unpark
+  EXPECT_FALSE(table.Release(1).has_value());
+}
+
+// A duplicate prepare of a transaction that already holds its locks is
+// re-affirmed without re-checking, while any other writer of those objects
+// waits behind it — or fails outright on a version its snapshot lacks.
+TEST(LockTableTest, DuplicatePrepareIsReaffirmed) {
+  Store store;
+  LockTable table;
+  std::vector<ObjectId> oids = {Oid(1, 1)};
+  VectorTimestamp snapshot = Vts({0, 0});
+  ASSERT_EQ(table.Classify(5, oids, snapshot, false, store, {}).verdict,
+            LockTable::Verdict::kYes);
+  table.Lock(5, oids, /*coordinator=*/1, {}, 0);
+
+  TxRecord rec;
+  rec.tid = 99;
+  rec.origin = 0;
+  rec.version = Version{0, 1};
+  rec.updates = {ObjectUpdate::Data(Oid(1, 1), "newer")};
+  store.ApplyToHistories(rec);  // a version `snapshot` does not cover
+
+  EXPECT_EQ(table.Classify(5, oids, snapshot, false, store, {}).verdict,
+            LockTable::Verdict::kYes);
+  LockTable::Check other = table.Classify(6, oids, Vts({1, 0}), false, store, {});
+  EXPECT_EQ(other.verdict, LockTable::Verdict::kWait);
+  EXPECT_EQ(other.blockers, (std::vector<TxId>{5}));
+  LockTable::Check stale = table.Classify(6, oids, snapshot, false, store, {});
+  EXPECT_EQ(stale.verdict, LockTable::Verdict::kConflict);
+  EXPECT_EQ(stale.conflict, Oid(1, 1));
+}
+
+// The clock-commit write bypass: a watermark whose decided version the
+// writer's snapshot already covers is history, not a conflict — counted as a
+// bypass. The history check comes first, so a modified object is a conflict
+// without a bypass.
+TEST(LockTableTest, ClockCommitBypassesSnapshotCoveredWatermark) {
+  Store store;
+  LockTable table;
+  std::vector<ObjectId> oids = {Oid(1, 1)};
+  table.AddWatermark(Oid(1, 1), Version{2, 10}, /*tid=*/42, 0);
+  VectorTimestamp covers = Vts({0, 0, 10});
+  VectorTimestamp below = Vts({0, 0, 9});
+
+  LockTable::Check plain = table.Classify(6, oids, covers, /*clock_commit=*/false, store, {});
+  EXPECT_EQ(plain.verdict, LockTable::Verdict::kConflict);
+  EXPECT_EQ(plain.clock_bypasses, 0u);
+  LockTable::Check clock = table.Classify(6, oids, covers, /*clock_commit=*/true, store, {});
+  EXPECT_EQ(clock.verdict, LockTable::Verdict::kYes);
+  EXPECT_EQ(clock.clock_bypasses, 1u);
+  LockTable::Check unseen = table.Classify(6, oids, below, /*clock_commit=*/true, store, {});
+  EXPECT_EQ(unseen.verdict, LockTable::Verdict::kConflict);
+  EXPECT_EQ(unseen.clock_bypasses, 0u);
+
+  TxRecord rec;
+  rec.tid = 99;
+  rec.origin = 0;
+  rec.version = Version{0, 1};
+  rec.updates = {ObjectUpdate::Data(Oid(1, 1), "newer")};
+  store.ApplyToHistories(rec);
+  LockTable::Check modified = table.Classify(6, oids, covers, /*clock_commit=*/true, store, {});
+  EXPECT_EQ(modified.verdict, LockTable::Verdict::kConflict);
+  EXPECT_EQ(modified.clock_bypasses, 0u);
+
+  // A lease this site does not hold fails first.
+  auto no_lease = [](ContainerId) { return false; };
+  EXPECT_EQ(table.Classify(6, oids, covers, true, store, no_lease).verdict,
+            LockTable::Verdict::kUnavailable);
+}
+
+// The 2PC termination sweep: lock sets with a remote coordinator and watermark
+// sets turn stale at 2 x resend_timeout, and an entry whose status query is
+// still in flight is skipped until the answer arrives.
+TEST(LockTableTest, StaleSweepSkipsYoungAndQueried) {
+  const SimDuration stale_after = 2 * Seconds(2);
+  const SiteId self = 0;
+  LockTable table;
+  table.Lock(/*tid=*/1, {Oid(1, 1)}, /*coordinator=*/3, {}, /*now=*/0);
+  table.Lock(/*tid=*/2, {Oid(1, 2)}, /*coordinator=*/self, {}, 0);  // ours: never asked
+  table.Lock(/*tid=*/3, {Oid(1, 3)}, /*coordinator=*/3, {}, Seconds(1));
+  table.AddWatermark(Oid(1, 4), Version{2, 5}, /*tid=*/4, /*now=*/0);
+
+  EXPECT_TRUE(table.TakeStale(stale_after - 1, stale_after, self).empty());
+
+  // Lock sets first (ask the coordinator), then watermark sets (ask the origin).
+  std::vector<LockTable::StaleQuery> stale = table.TakeStale(stale_after, stale_after, self);
+  ASSERT_EQ(stale.size(), 2u);
+  EXPECT_EQ(stale[0].tid, 1u);
+  EXPECT_EQ(stale[0].ask, 3u);
+  EXPECT_FALSE(stale[0].watermark);
+  EXPECT_EQ(stale[1].tid, 4u);
+  EXPECT_EQ(stale[1].ask, 2u);
+  EXPECT_TRUE(stale[1].watermark);
+  EXPECT_TRUE(table.TakeStale(stale_after, stale_after, self).empty());  // in flight
+
+  EXPECT_TRUE(table.EndQuery(stale[0]));
+  std::vector<LockTable::StaleQuery> again = table.TakeStale(stale_after, stale_after, self);
+  ASSERT_EQ(again.size(), 1u);  // asked again once answered
+  EXPECT_EQ(again[0].tid, 1u);
+  EXPECT_TRUE(table.DropWatermarksOfTx(4));
+  EXPECT_FALSE(table.EndQuery(stale[1]));  // answered after the set was dropped
+  // Lock 3, taken a second later, turns stale a second later.
+  std::vector<LockTable::StaleQuery> later =
+      table.TakeStale(stale_after + Seconds(1), stale_after, self);
+  ASSERT_EQ(later.size(), 1u);
+  EXPECT_EQ(later[0].tid, 3u);
+
+  table.Release(1);
+  EXPECT_FALSE(table.EndQuery(again[0]));
 }
 
 // --- bounded re-park / starvation ------------------------------------------
@@ -353,7 +517,8 @@ TEST(EarlyReleaseStarvationTest, StuckWatermarkStarvesReadOut) {
   WalterServer& server = cluster.server(0);
   uint64_t seqno = server.committed_vts().at(0);
   ASSERT_GE(seqno, 1u);
-  server.store().AddVisibilityWatermark(Oid(0, 1), Version{0, seqno}, /*tid=*/999999);
+  server.lock_table().AddWatermark(
+      Oid(0, 1), Version{0, seqno}, /*tid=*/999999, cluster.sim().Now());
 
   Tx tx(client);
   std::optional<Status> read_status;
@@ -367,7 +532,7 @@ TEST(EarlyReleaseStarvationTest, StuckWatermarkStarvesReadOut) {
   EXPECT_GE(server.stats().watermark_read_waits,
             uint64_t{options.server.read_park_soft_retries});
 
-  server.store().DropWatermarksOfTx(999999);
+  server.lock_table().DropWatermarksOfTx(999999);
   cluster.RunUntilIdle();
 }
 
@@ -396,8 +561,8 @@ TEST(EarlyReleaseStarvationTest, StuckWatermarkSurfacesWatchdogVerdict) {
     }
   }
   WalterServer& server = cluster.server(0);
-  server.store().AddVisibilityWatermark(Oid(0, 1), Version{0, server.committed_vts().at(0)},
-                                        /*tid=*/888888);
+  server.lock_table().AddWatermark(Oid(0, 1), Version{0, server.committed_vts().at(0)},
+                                   /*tid=*/888888, cluster.sim().Now());
 
   {
     WatchdogOptions wo;
@@ -416,7 +581,7 @@ TEST(EarlyReleaseStarvationTest, StuckWatermarkSurfacesWatchdogVerdict) {
     EXPECT_FALSE(read_status.has_value()) << "verdict must precede the starve-out";
   }
 
-  server.store().DropWatermarksOfTx(888888);
+  server.lock_table().DropWatermarksOfTx(888888);
   cluster.RunUntilIdle();
 }
 
@@ -601,8 +766,9 @@ TEST(EarlyReleaseClockTest, ParticipantBypassesSnapshotCoveredWatermark) {
   ASSERT_TRUE(CommitAndSettle(cluster, first).ok());
 
   // Plant a watermark on the committed version: every fresh snapshot Sees it.
-  participant.store().AddVisibilityWatermark(
-      Oid(c0, 1), Version{s0, participant.committed_vts().at(s0)}, /*tid=*/777777);
+  participant.lock_table().AddWatermark(
+      Oid(c0, 1), Version{s0, participant.committed_vts().at(s0)}, /*tid=*/777777,
+      cluster.sim().Now());
   Tx second(client);
   second.Write(Oid(c1, 1), "v2");  // first write: shard 1 coordinates
   second.Write(Oid(c0, 1), "v2");
@@ -611,7 +777,7 @@ TEST(EarlyReleaseClockTest, ParticipantBypassesSnapshotCoveredWatermark) {
   EXPECT_EQ(cluster.server(map.ServerAt(0, 1)).stats().slow_commits, 1u);
   EXPECT_GE(participant.stats().clock_conflict_bypasses, 1u);
 
-  participant.store().DropWatermarksOfTx(777777);
+  participant.lock_table().DropWatermarksOfTx(777777);
   cluster.RunUntilIdle();
   EXPECT_EQ(participant.watermark_count(), 0u);
   EXPECT_EQ(participant.lock_count(), 0u);

@@ -117,8 +117,8 @@ TEST(OverloadParkTest, ParkedReadDedupsRetransmissionsAndStarvesOnce) {
 
   ASSERT_TRUE(CommitWrite(cluster, client, Oid(0, 1), "v").ok());
   WalterServer& server = cluster.server(0);
-  server.store().AddVisibilityWatermark(Oid(0, 1), Version{0, server.curr_seqno()},
-                                        /*tid=*/999999);
+  server.lock_table().AddWatermark(
+      Oid(0, 1), Version{0, server.curr_seqno()}, /*tid=*/999999, cluster.sim().Now());
 
   KindCounter traces;
   std::optional<Status> read_status;
@@ -140,7 +140,7 @@ TEST(OverloadParkTest, ParkedReadDedupsRetransmissionsAndStarvesOnce) {
   EXPECT_EQ(traces.count(TraceKind::kReadStarved), 1u);
   EXPECT_EQ(server.parked_read_count(), 0u);
 
-  server.store().DropWatermarksOfTx(999999);
+  server.lock_table().DropWatermarksOfTx(999999);
   cluster.RunUntilIdle();
 }
 
@@ -162,8 +162,8 @@ TEST(OverloadParkTest, ParkedReadResolvesThroughRetransmissionChain) {
 
   ASSERT_TRUE(CommitWrite(cluster, client, Oid(0, 1), "hot").ok());
   WalterServer& server = cluster.server(0);
-  server.store().AddVisibilityWatermark(Oid(0, 1), Version{0, server.curr_seqno()},
-                                        /*tid=*/777777);
+  server.lock_table().AddWatermark(
+      Oid(0, 1), Version{0, server.curr_seqno()}, /*tid=*/777777, cluster.sim().Now());
 
   std::optional<Status> read_status;
   std::optional<std::string> read_value;
@@ -176,7 +176,7 @@ TEST(OverloadParkTest, ParkedReadResolvesThroughRetransmissionChain) {
   EXPECT_FALSE(read_status.has_value());
   EXPECT_GE(server.stats().read_park_dedups, 2u);
 
-  server.store().DropWatermarksOfTx(777777);
+  server.lock_table().DropWatermarksOfTx(777777);
   while (!read_status.has_value() && cluster.sim().Step()) {
   }
   ASSERT_TRUE(read_status.has_value());
@@ -369,8 +369,8 @@ TEST(OverloadAdmissionTest, InflightLimitRejectsWithHintAndRecovers) {
 
   ASSERT_TRUE(CommitWrite(cluster, writer, Oid(0, 1), "v").ok());
   WalterServer& server = cluster.server(0);
-  server.store().AddVisibilityWatermark(Oid(0, 1), Version{0, server.curr_seqno()},
-                                        /*tid=*/555555);
+  server.lock_table().AddWatermark(
+      Oid(0, 1), Version{0, server.curr_seqno()}, /*tid=*/555555, cluster.sim().Now());
 
   KindCounter traces;
   // Occupy the only slot with a parked read.
@@ -416,7 +416,7 @@ TEST(OverloadAdmissionTest, InflightLimitRejectsWithHintAndRecovers) {
   EXPECT_EQ(server.stats().admit_rejects, 1u) << "the abort must not be rejected";
 
   // Clearing the park frees the slot; admission recovers.
-  server.store().DropWatermarksOfTx(555555);
+  server.lock_table().DropWatermarksOfTx(555555);
   while (!parked_status.has_value() && cluster.sim().Step()) {
   }
   EXPECT_TRUE(parked_status->ok());
@@ -496,8 +496,8 @@ TEST(OverloadBudgetTest, TokenBucketBoundsRetriesThenRefills) {
 
   ASSERT_TRUE(CommitWrite(cluster, writer, Oid(0, 1), "v").ok());
   WalterServer& server = cluster.server(0);
-  server.store().AddVisibilityWatermark(Oid(0, 1), Version{0, server.curr_seqno()},
-                                        /*tid=*/444444);
+  server.lock_table().AddWatermark(
+      Oid(0, 1), Version{0, server.curr_seqno()}, /*tid=*/444444, cluster.sim().Now());
 
   // Park a read to hold the only admission slot for the whole test.
   WalterClient* parked_client = cluster.AddClient(0);
@@ -535,7 +535,7 @@ TEST(OverloadBudgetTest, TokenBucketBoundsRetriesThenRefills) {
   EXPECT_EQ(budget_client->overload_sheds(), 2u);
   EXPECT_EQ(traces.count(TraceKind::kRetryBudgetExhausted), 2u);
 
-  server.store().DropWatermarksOfTx(444444);
+  server.lock_table().DropWatermarksOfTx(444444);
   while (!parked_status.has_value() && cluster.sim().Step()) {
   }
   EXPECT_TRUE(parked_status->ok());
@@ -556,8 +556,8 @@ TEST(OverloadBudgetTest, ShedCommitSurfacesBeforeWatchdogBudget) {
   WalterClient* writer = cluster.AddClient(0);
   ASSERT_TRUE(CommitWrite(cluster, writer, Oid(0, 1), "v").ok());
   WalterServer& server = cluster.server(0);
-  server.store().AddVisibilityWatermark(Oid(0, 1), Version{0, server.curr_seqno()},
-                                        /*tid=*/333333);
+  server.lock_table().AddWatermark(
+      Oid(0, 1), Version{0, server.curr_seqno()}, /*tid=*/333333, cluster.sim().Now());
 
   WalterClient* parked_client = cluster.AddClient(0);
   std::optional<Status> parked_status;
@@ -589,7 +589,7 @@ TEST(OverloadBudgetTest, ShedCommitSurfacesBeforeWatchdogBudget) {
         << (watchdog.fired() ? watchdog.reports()[0].verdict : "");
   }
 
-  server.store().DropWatermarksOfTx(333333);
+  server.lock_table().DropWatermarksOfTx(333333);
   while (!parked_status.has_value() && cluster.sim().Step()) {
   }
   EXPECT_TRUE(parked_status->ok());

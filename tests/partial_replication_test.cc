@@ -167,8 +167,8 @@ TEST(GarbageCollectionTest, FoldedHistoriesStillServeNewSnapshots) {
       stable.set(o, std::min(stable.at(o), site_vts.at(o)));
     }
   }
-  size_t folded0 = cluster.server(0).GarbageCollect(stable);
-  size_t folded1 = cluster.server(1).GarbageCollect(stable);
+  size_t folded0 = cluster.server(0).DriveGc(stable);
+  size_t folded1 = cluster.server(1).DriveGc(stable);
   EXPECT_GT(folded0, 0u);
   EXPECT_GT(folded1, 0u);
 

@@ -3,6 +3,7 @@
 // by retransmission and gossip, and aggressive site-failure recovery.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <optional>
 
 #include "src/core/cluster.h"
@@ -76,7 +77,9 @@ TEST(FailureTest, ReplacementServerRecoversFromCheckpointPlusTail) {
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(CommitWrite(cluster, client, Oid(1, i), "cp" + std::to_string(i)).ok());
   }
-  cluster.server(0).Checkpoint();  // truncates the WAL prefix
+  // All-maximum floors: truncates the whole WAL prefix the checkpoint covers.
+  cluster.server(0).CheckpointRetaining(
+      VectorTimestamp(std::vector<uint64_t>(1, std::numeric_limits<uint64_t>::max())));
   for (int i = 4; i < 8; ++i) {
     ASSERT_TRUE(CommitWrite(cluster, client, Oid(1, i), "cp" + std::to_string(i)).ok());
   }
